@@ -221,7 +221,7 @@ func cmdClassify(args []string) error {
 	if fs.NArg() == 0 {
 		return errors.New("no binaries given")
 	}
-	clf, err := loadModel(*modelPath)
+	clf, err := core.LoadFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -264,7 +264,7 @@ func cmdReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	clf, err := loadModel(*modelPath)
+	clf, err := core.LoadFile(*modelPath)
 	if err != nil {
 		return err
 	}

@@ -24,10 +24,13 @@ package main
 //
 //	{"allowed_by_account":{"bio-1":["BLAST"]},"blocklist":["XMRig"]}
 //
-// With -http ADDR the same engine is additionally exposed over the
-// network (internal/httpserve): classify, batch-classify, model-swap,
-// health and Prometheus metrics endpoints, sharing the stream loop's
-// extraction cache. `-input none -http :8080` serves HTTP only and runs
+// Both surfaces run on one request core, an internal/httpserve Server
+// that is always built: the stream loop collects content, installs
+// reloaded models and applies every prediction's side effects through
+// it. With -http ADDR that core also listens on the network: classify,
+// batch-classify, model-swap, health and Prometheus metrics endpoints,
+// sharing the stream loop's engine and extraction cache. `-input none
+// -http :8080` serves HTTP only and runs
 // until SIGINT/SIGTERM; with a finite -input the process drains the
 // HTTP listener gracefully once the stream ends.
 //
@@ -53,7 +56,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -62,14 +64,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/httpserve"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
@@ -168,7 +168,7 @@ func cmdServe(args []string) error {
 		return errors.New("-input none requires -http: nothing to serve")
 	}
 
-	clf, err := loadModel(*modelPath)
+	clf, err := core.LoadFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -203,26 +203,21 @@ func cmdServe(args []string) error {
 		CacheEntries: *cacheSize,
 	})
 	defer engine.Close()
-	mon := monitor.New(engine, policy)
-	coll := collector.New(collector.Options{})
-
-	// Continuous learning: the retrainer harvests off the monitor's
-	// observation stream (both surfaces classify through this engine)
-	// and shares the HTTP layer's metrics registry so /metrics exposes
-	// the fhc_retrain_* series.
-	var rt *retrain.Retrainer
 	reg := metrics.NewRegistry()
 
 	// A calibrated artifact carries its own serving-population baseline,
 	// so drift detection needs no flags: seed a detector from the
-	// calibration and let every served verdict — stream or HTTP — feed
-	// it. Uncalibrated models predict no verdicts, so a detector would
-	// only ever see VerdictNone; skip it.
+	// calibration and let every served verdict feed it. Uncalibrated
+	// models predict no verdicts, so a detector would only ever see
+	// VerdictNone; skip it.
 	var det *openset.Detector
 	if cal := clf.Calibration(); cal != nil {
 		det = openset.NewDetector(cal.Baseline, openset.DriftOptions{Registry: reg})
 	}
 
+	// Continuous learning shares the detector (installs re-baseline it)
+	// and the metrics registry, so /metrics exposes fhc_retrain_*.
+	var rt *retrain.Retrainer
 	if *retrainOn {
 		rt, err = retrain.New(engine, clf, retrain.Options{
 			Store:           retrain.StoreOptions{Cap: *retrainCap, Path: *retrainStore},
@@ -246,20 +241,26 @@ func cmdServe(args []string) error {
 			}
 		}()
 	}
-	if rt != nil || det != nil {
-		mon.SetObserver(func(e monitor.Event, pred core.Prediction, _ []monitor.Finding) {
-			if det != nil {
-				det.Observe(pred.Verdict, pred.Confidence)
-			}
-			if rt != nil {
-				rt.ObservePrediction(&e.Sample, pred)
-			}
-		})
-	}
 
-	// The HTTP front end shares the stream loop's engine and extraction
-	// cache: a binary seen on either surface is extracted once.
-	var hs *httpserve.Server
+	// One request core serves both surfaces. The Server owns model
+	// installs, the harvest and drift side effects of every served
+	// prediction, the drift-alarm retraining hook and content
+	// collection; the stream loop below is a thin adapter over it, and
+	// it listens on the network only with -http. Both surfaces share the
+	// extraction cache: a binary seen on either is extracted once.
+	coll := collector.New(collector.Options{})
+	hs := httpserve.New(engine, httpserve.Options{
+		AllowPaths:    *httpPaths,
+		ModelDir:      *httpModels,
+		MaxSpillBytes: *httpSpill,
+		Collector:     coll,
+		Retrainer:     rt,
+		Registry:      reg,
+		Drift:         det,
+	})
+	mon := monitor.New(engine, policy)
+	mon.SetObserver(hs.Served)
+
 	var httpErr chan error
 	stop := make(chan struct{})
 	var stopOnce sync.Once
@@ -269,26 +270,12 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		hs = httpserve.New(engine, httpserve.Options{
-			AllowPaths:    *httpPaths,
-			ModelDir:      *httpModels,
-			MaxSpillBytes: *httpSpill,
-			Collector:     coll,
-			Retrainer:     rt,
-			Registry:      reg,
-			Drift:         det,
-		})
 		httpErr = make(chan error, 1)
 		go func() { httpErr <- hs.Serve(ln) }()
 		fmt.Fprintf(os.Stderr, "fhc serve: HTTP API on http://%s\n", ln.Addr())
 		if serveHTTPBound != nil {
 			serveHTTPBound(ln.Addr().String(), requestStop)
 		}
-	} else if det != nil && rt != nil {
-		// Stream-only deployments still route drift alarms into a
-		// retraining cycle; with HTTP enabled, httpserve.New wires this
-		// same hook.
-		det.AddAlarmHook(func(string) { rt.KickDrift() })
 	}
 
 	out := bufio.NewWriter(os.Stdout)
@@ -380,30 +367,16 @@ func cmdServe(args []string) error {
 				}
 				// The window in progress is flushed first so the
 				// acknowledgement lands in stream order; the engine itself
-				// needs no quiescing — Swap is zero-downtime.
+				// needs no quiescing — Install is zero-downtime.
 				if err := flush(); err != nil {
 					return err
 				}
 				res := serveResult{Reloaded: ev.Reload}
-				if next, err := loadModel(ev.Reload); err != nil {
+				if next, err := core.LoadFile(ev.Reload); err != nil {
 					// The previous model keeps serving; the stream continues.
 					res.Error = fmt.Sprintf("line %d: %v", lineNo, err)
 				} else {
-					if rt != nil {
-						// Swap, gate-baseline reset and drift re-baseline,
-						// atomically.
-						rt.InstallIncumbent(next)
-					} else {
-						engine.Swap(next)
-						// The drift window compares against the incumbent's
-						// calibration population; a reload that changes the
-						// model must move the baseline with it.
-						if det != nil {
-							if cal := next.Calibration(); cal != nil {
-								det.SetBaseline(cal.Baseline)
-							}
-						}
-					}
+					hs.Install(next)
 					res.ModelKind = next.ModelKind()
 				}
 				results = append(results, res)
@@ -413,7 +386,8 @@ func cmdServe(args []string) error {
 				}
 				continue
 			}
-			sample, cached, err := collectEvent(coll, &ev, *httpSpill)
+			sample, cached, _, err := hs.Collect(&httpserve.ClassifyRequest{
+				Exe: ev.Exe, Path: ev.Path, BinaryB64: ev.BinaryB64})
 			if err != nil {
 				results = append(results, serveResult{JobID: ev.JobID,
 					Error: fmt.Sprintf("line %d: %v", lineNo, err)})
@@ -461,7 +435,7 @@ func cmdServe(args []string) error {
 
 	// Graceful HTTP drain: stop advertising readiness, finish in-flight
 	// requests (their engine windows included), then release the port.
-	if hs != nil {
+	if httpErr != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
@@ -493,33 +467,4 @@ func cmdServe(args []string) error {
 		}
 	}
 	return nil
-}
-
-// loadModel reads a trained classifier of any registered kind.
-func loadModel(path string) (*core.Classifier, error) {
-	return core.LoadFile(path)
-}
-
-// collectEvent streams an event's executable content into the shared
-// collector: path events stream straight off the filesystem and inline
-// base64 decodes through a streaming reader, so the stream loop gets
-// the same single-pass, O(1)-memory ingestion as the HTTP surface —
-// the binary is never materialised in full.
-func collectEvent(coll *collector.Collector, ev *serveEvent, maxSpill int) (dataset.Sample, bool, error) {
-	switch {
-	case ev.Path != "" && ev.BinaryB64 != "":
-		return dataset.Sample{}, false, errors.New("event has both path and binary_b64")
-	case ev.Path != "":
-		f, err := os.Open(ev.Path)
-		if err != nil {
-			return dataset.Sample{}, false, err
-		}
-		defer f.Close()
-		return coll.CollectStream(ev.Exe, f, maxSpill)
-	case ev.BinaryB64 != "":
-		dec := base64.NewDecoder(base64.StdEncoding, strings.NewReader(ev.BinaryB64))
-		return coll.CollectStream(ev.Exe, dec, maxSpill)
-	default:
-		return dataset.Sample{}, false, errors.New("event has neither path nor binary_b64")
-	}
 }

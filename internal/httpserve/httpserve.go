@@ -82,6 +82,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
+	"repro/internal/monitor"
 	"repro/internal/openset"
 	"repro/internal/retrain"
 	"repro/internal/serve"
@@ -440,12 +441,6 @@ var instrumentCodes = []int{
 	http.StatusInternalServerError, http.StatusServiceUnavailable,
 }
 
-// statusText renders a status code without fmt; codes outside the
-// precomputed set take the strconv path.
-func statusText(code int) string {
-	return strconv.Itoa(code)
-}
-
 // recPool recycles status recorders so instrumentation allocates
 // nothing per request.
 var recPool = sync.Pool{New: func() any { return new(statusRecorder) }}
@@ -462,7 +457,7 @@ func (s *Server) instrument(route, method string, limited bool, h http.HandlerFu
 		codes:   make(map[int]*metrics.Counter, len(instrumentCodes)),
 	}
 	for _, code := range instrumentCodes {
-		ri.codes[code] = s.requests.With(route, statusText(code))
+		ri.codes[code] = s.requests.With(route, strconv.Itoa(code))
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -474,7 +469,7 @@ func (s *Server) instrument(route, method string, limited bool, h http.HandlerFu
 			if c, ok := ri.codes[rec.code]; ok {
 				c.Inc()
 			} else {
-				s.requests.With(route, statusText(rec.code)).Inc()
+				s.requests.With(route, strconv.Itoa(rec.code)).Inc()
 			}
 			ri.latency.Observe(time.Since(start).Seconds())
 			if r.ContentLength >= 0 {
@@ -546,45 +541,46 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 
 // ----- handlers ---------------------------------------------------------
 
-// collectFromRequest streams the request's executable content into the
-// collector's featuriser. Inline base64 decodes through a streaming
-// reader — the binary is never materialised as a second in-memory copy
-// — and path requests stream straight off the filesystem. On failure
-// code is the HTTP status to answer: 400 for request-shape problems
-// (missing content, disabled paths, corrupt base64), 422 when a
-// well-formed body failed feature extraction.
-func (s *Server) collectFromRequest(req *ClassifyRequest) (sample dataset.Sample, cached bool, code int, err error) {
+// Collect streams a request's executable content — inline base64
+// through a streaming decoder, or a path straight off the filesystem —
+// into the collector's featuriser, never materialising the binary. On
+// failure code is the HTTP status to answer: 400 for request-shape
+// problems, 422 when well-formed content failed feature extraction. It
+// does not apply Options.AllowPaths (collectFromRequest does, for the
+// HTTP routes): the JSON-lines stream of `fhc serve` is trusted.
+func (s *Server) Collect(req *ClassifyRequest) (sample dataset.Sample, cached bool, code int, err error) {
 	switch {
 	case req.Path != "" && req.BinaryB64 != "":
 		return sample, false, http.StatusBadRequest, errors.New("request has both path and binary_b64")
 	case req.BinaryB64 != "":
 		dec := base64.NewDecoder(base64.StdEncoding, strings.NewReader(req.BinaryB64))
 		sample, cached, err = s.opt.Collector.CollectStream(req.Exe, dec, s.opt.MaxSpillBytes)
-		if err != nil {
-			var corrupt base64.CorruptInputError
-			if errors.As(err, &corrupt) {
-				return sample, false, http.StatusBadRequest, fmt.Errorf("binary_b64: %w", corrupt)
-			}
-			return sample, false, http.StatusUnprocessableEntity, fmt.Errorf("collect: %w", err)
+		var corrupt base64.CorruptInputError
+		if errors.As(err, &corrupt) {
+			return sample, false, http.StatusBadRequest, fmt.Errorf("binary_b64: %w", corrupt)
 		}
-		return sample, cached, 0, nil
 	case req.Path != "":
-		if !s.opt.AllowPaths {
-			return sample, false, http.StatusBadRequest, errors.New("path requests are disabled on this server (send binary_b64)")
-		}
-		f, err := os.Open(req.Path)
-		if err != nil {
-			return sample, false, http.StatusBadRequest, fmt.Errorf("path: %w", err)
+		f, oerr := os.Open(req.Path)
+		if oerr != nil {
+			return sample, false, http.StatusBadRequest, fmt.Errorf("path: %w", oerr)
 		}
 		defer f.Close()
 		sample, cached, err = s.opt.Collector.CollectStream(req.Exe, f, s.opt.MaxSpillBytes)
-		if err != nil {
-			return sample, false, http.StatusUnprocessableEntity, fmt.Errorf("collect: %w", err)
-		}
-		return sample, cached, 0, nil
 	default:
 		return sample, false, http.StatusBadRequest, errors.New("request has neither path nor binary_b64")
 	}
+	if err != nil {
+		return sample, false, http.StatusUnprocessableEntity, fmt.Errorf("collect: %w", err)
+	}
+	return sample, cached, 0, nil
+}
+
+// collectFromRequest is Collect behind the HTTP routes' path gate.
+func (s *Server) collectFromRequest(req *ClassifyRequest) (dataset.Sample, bool, int, error) {
+	if req.Path != "" && req.BinaryB64 == "" && !s.opt.AllowPaths {
+		return dataset.Sample{}, false, http.StatusBadRequest, errors.New("path requests are disabled on this server (send binary_b64)")
+	}
+	return s.Collect(req)
 }
 
 // octetStream is the Content-Type selecting the raw streaming leg.
@@ -621,8 +617,7 @@ func (s *Server) handleClassifyRaw(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pred := s.engine.Classify(&sample)
-	s.harvest(&sample, pred)
-	s.observe(pred)
+	s.Served(monitor.Event{Sample: sample}, pred, nil)
 	writeClassifyResponse(w, exe, pred, cached)
 }
 
@@ -661,9 +656,7 @@ func (s *Server) handleClassifyJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	if complete {
 		if key, exe, ok := ParseHashFirst(buf[:n]); ok {
-			if pred, hit := s.engine.Lookup(key); hit {
-				s.hashFirstHits.Inc()
-				s.observe(pred)
+			if pred, hit := s.lookup(key); hit {
 				writeClassifyResponse(w, exe, pred, true)
 				return
 			}
@@ -694,19 +687,12 @@ func (s *Server) classifySlow(w http.ResponseWriter, r *http.Request, prefix []b
 		}
 	}
 	if req.SHA256 != "" {
-		if req.BinaryB64 != "" || req.Path != "" {
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: "sha256 cannot be combined with binary_b64 or path"})
-			return
-		}
-		key, err := parseSHA256(req.SHA256)
+		key, err := hashFirstKey(&req)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
-		if pred, hit := s.engine.Lookup(key); hit {
-			s.hashFirstHits.Inc()
-			s.observe(pred)
+		if pred, hit := s.lookup(key); hit {
 			writeClassifyResponse(w, req.Exe, pred, true)
 			return
 		}
@@ -719,8 +705,7 @@ func (s *Server) classifySlow(w http.ResponseWriter, r *http.Request, prefix []b
 		return
 	}
 	pred := s.engine.Classify(&sample)
-	s.harvest(&sample, pred)
-	s.observe(pred)
+	s.Served(monitor.Event{Sample: sample}, pred, nil)
 	writeClassifyResponse(w, req.Exe, pred, cached)
 }
 
@@ -832,7 +817,16 @@ func ParseHashFirst(body []byte) (key serve.Key, exe []byte, ok bool) {
 	}
 }
 
-// parseSHA256 decodes a hash-first hex digest from the slow path.
+// hashFirstKey validates a decoded hash-first request and decodes its
+// digest, for the slow and batch paths.
+func hashFirstKey(req *ClassifyRequest) (serve.Key, error) {
+	if req.BinaryB64 != "" || req.Path != "" {
+		return serve.Key{}, errors.New("sha256 cannot be combined with binary_b64 or path")
+	}
+	return parseSHA256(req.SHA256)
+}
+
+// parseSHA256 decodes a hash-first hex digest.
 func parseSHA256(s string) (serve.Key, error) {
 	var key serve.Key
 	if len(s) != 2*len(key) {
@@ -963,13 +957,29 @@ func appendJSONString[T string | []byte](dst []byte, s T) []byte {
 	return append(dst, '"')
 }
 
-// harvest offers one served prediction to the continuous-learning
-// store, when retraining is configured. The retrainer applies its own
-// confidence gate; a cache-served duplicate is dedup'd by the store.
-func (s *Server) harvest(sample *dataset.Sample, pred core.Prediction) {
-	if s.opt.Retrainer != nil {
-		s.opt.Retrainer.ObservePrediction(sample, pred)
+// Served applies a classifier-served prediction's side effects on
+// either surface: the retrainer's harvest (behind its own gates) and
+// the drift observation. It is a monitor.Observer, so the JSON-lines
+// stream registers it with monitor.SetObserver; the HTTP routes call it
+// directly.
+func (s *Server) Served(e monitor.Event, pred core.Prediction, _ []monitor.Finding) {
+	if rt := s.opt.Retrainer; rt != nil {
+		rt.ObservePrediction(&e.Sample, pred)
 	}
+	s.observe(pred)
+}
+
+// lookup answers a hash-first probe from the prediction cache. A hit
+// is counted and observed for drift; it has no sample to harvest.
+//
+// fhc:hotpath
+func (s *Server) lookup(key serve.Key) (core.Prediction, bool) {
+	pred, hit := s.engine.Lookup(key)
+	if hit {
+		s.hashFirstHits.Inc()
+		s.observe(pred)
+	}
+	return pred, hit
 }
 
 // observe feeds one served verdict to the drift detector, when one is
@@ -981,6 +991,12 @@ func (s *Server) observe(pred core.Prediction) {
 	if s.opt.Drift != nil {
 		s.opt.Drift.Observe(pred.Verdict, pred.Confidence)
 	}
+}
+
+// classifyResponse renders one prediction as a batch result.
+func classifyResponse(exe string, pred core.Prediction, cached bool) ClassifyResponse {
+	return ClassifyResponse{Exe: exe, Label: pred.Label, Class: pred.Class,
+		Confidence: pred.Confidence, Verdict: string(pred.Verdict), Cached: cached}
 }
 
 // handleBatch classifies many binaries through one ClassifyAll call, so
@@ -1012,22 +1028,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// Hash-first batch items probe the prediction cache; misses
 			// keep their slot with the needs_body marker so the client
 			// knows which binaries to upload.
-			if item.BinaryB64 != "" || item.Path != "" {
-				resp.Results[i].Error = "sha256 cannot be combined with binary_b64 or path"
-				continue
-			}
-			key, err := parseSHA256(item.SHA256)
+			key, err := hashFirstKey(item)
 			if err != nil {
 				resp.Results[i].Error = err.Error()
 				continue
 			}
-			if pred, hit := s.engine.Lookup(key); hit {
-				s.hashFirstHits.Inc()
-				s.observe(pred)
-				resp.Results[i] = ClassifyResponse{
-					Exe: item.Exe, Label: pred.Label, Class: pred.Class,
-					Confidence: pred.Confidence, Verdict: string(pred.Verdict), Cached: true,
-				}
+			if pred, hit := s.lookup(key); hit {
+				resp.Results[i] = classifyResponse(item.Exe, pred, true)
 			} else {
 				resp.Results[i].Error = "needs_body"
 			}
@@ -1044,16 +1051,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(batch) > 0 {
 		preds := s.engine.ClassifyAll(batch)
 		for j, sl := range good {
-			s.harvest(&batch[j], preds[j])
-			s.observe(preds[j])
-			resp.Results[sl.index] = ClassifyResponse{
-				Exe:        req.Samples[sl.index].Exe,
-				Label:      preds[j].Label,
-				Class:      preds[j].Class,
-				Confidence: preds[j].Confidence,
-				Verdict:    string(preds[j].Verdict),
-				Cached:     sl.cached,
-			}
+			s.Served(monitor.Event{Sample: batch[j]}, preds[j], nil)
+			resp.Results[sl.index] = classifyResponse(req.Samples[sl.index].Exe, preds[j], sl.cached)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -1088,28 +1087,30 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 			errorResponse{Error: fmt.Sprintf("load model: %v", err)})
 		return
 	}
-	// A manual swap (a rollback included) also resets the promotion
-	// gate's baseline; InstallIncumbent does both atomically so a swap
-	// racing an automatic promotion cannot leave the gate comparing
-	// against a model the engine no longer serves.
+	s.Install(next)
+	writeJSON(w, http.StatusOK, SwapResponse{
+		ModelKind: next.ModelKind(),
+		Swaps:     s.engine.Stats().Swaps,
+	})
+}
+
+// Install makes next the served model for both surfaces. With a
+// retrainer it is InstallIncumbent, which swaps the engine and resets
+// the promotion gate and the shared drift detector atomically, so a
+// manual swap racing a promotion cannot leave the gate comparing
+// against a model the engine no longer serves. Without one the engine
+// swaps and the detector is re-baselined from next's calibration.
+func (s *Server) Install(next *core.Classifier) {
 	if rt := s.opt.Retrainer; rt != nil {
 		rt.InstallIncumbent(next)
-	} else {
-		s.engine.Swap(next)
+		return
 	}
-	// Re-baseline the drift detector from the installed model's own
-	// calibration so post-swap traffic is never tested against the old
-	// model's expected distribution. Redundant (and harmless) when the
-	// retrainer shares the detector and already re-baselined in install.
+	s.engine.Swap(next)
 	if d := s.opt.Drift; d != nil {
 		if cal := next.Calibration(); cal != nil {
 			d.SetBaseline(cal.Baseline)
 		}
 	}
-	writeJSON(w, http.StatusOK, SwapResponse{
-		ModelKind: next.ModelKind(),
-		Swaps:     s.engine.Stats().Swaps,
-	})
 }
 
 // handleRetrain kicks a continuous-learning cycle: by default the cycle

@@ -289,6 +289,63 @@ func TestHTTPSwap(t *testing.T) {
 	}
 }
 
+// TestHTTPSwapCorruptArtifact swaps in an rf artifact whose first tree
+// has one child index far out of range — a model that used to install
+// cleanly and then panic the engine's batch goroutine on the first
+// prediction. The decoder must refuse it with a 422 naming the node,
+// and the incumbent must keep serving bit-identically, cache misses
+// included.
+func TestHTTPSwapCorruptArtifact(t *testing.T) {
+	ts, engine, _ := newTestServer(t, serve.Options{}, Options{})
+	raw, err := os.ReadFile(fixRFPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art map[string]any
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if err := dec.Decode(&art); err != nil {
+		t.Fatal(err)
+	}
+	tree := art["model"].(map[string]any)["Trees"].([]any)[0].(map[string]any)
+	tree["Nodes"].([]any)[0].(map[string]any)["Left"] = 999999
+	corrupt, err := json.Marshal(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "rf-corrupt.json")
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The last binary is held back so the first prediction after the
+	// refused swap is a cache miss through the incumbent model.
+	primed := fixBins[:len(fixBins)-1]
+	before := make([]ClassifyResponse, len(primed))
+	for i, bin := range primed {
+		classifyOver(t, ts.Client(), ts.URL, bin)
+		before[i] = classifyOver(t, ts.Client(), ts.URL, bin)
+	}
+	code, body := postJSON(t, ts.Client(), ts.URL+"/v1/model/swap", SwapRequest{Path: path})
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "tree 0 node 0") {
+		t.Fatalf("corrupt swap answered %d: %s", code, body)
+	}
+	if st := engine.Stats(); st.Swaps != 0 {
+		t.Fatalf("refused swap reached the engine: %+v", st)
+	}
+	for i, bin := range primed {
+		if got := classifyOver(t, ts.Client(), ts.URL, bin); got != before[i] {
+			t.Fatalf("binary %d after refused swap: %+v, before %+v", i, got, before[i])
+		}
+	}
+	last := &fixSamples[len(fixSamples)-1]
+	want := fixRF.Classify(last)
+	got := classifyOver(t, ts.Client(), ts.URL, fixBins[len(fixBins)-1])
+	if got.Label != want.Label || got.Confidence != want.Confidence || got.Verdict != string(want.Verdict) {
+		t.Fatalf("cache miss after refused swap: HTTP %+v, incumbent direct %+v", got, want)
+	}
+}
+
 // TestHTTPSwapModelDir pins the swap containment knob: with ModelDir
 // set, artifact paths outside it are refused before touching the
 // filesystem, and paths inside it (including unclean ones) still swap.

@@ -25,6 +25,29 @@ func mustHash(t *testing.T, data []byte) Digest {
 	return d
 }
 
+// TestKnownAnswerVector pins HashBytes to the reference spamsum digest
+// of a published example, and pins the comparison of that digest with a
+// one-character variant. The published example scores that pair 71, but
+// that figure comes from an implementation without the reference's
+// guards, and this package keeps both: every signature pair is gated on
+// a common substring of rollingWindow (7) characters, which neither
+// pair here has (FJKKIUKact/FJKKIrKact share at most "Kact", and the
+// second signatures are shorter than 7), and at block size 3 the
+// small-block cap would bound the score to 10 even past the gate.
+func TestKnownAnswerVector(t *testing.T) {
+	d := mustHash(t, []byte("The quick brown fox jumps over the lazy dog"))
+	if got, want := d.String(), "3:FJKKIUKact:FHIGi"; got != want {
+		t.Fatalf("HashBytes = %q, want %q", got, want)
+	}
+	score, err := CompareStrings("3:FJKKIUKact:FHIGi", "3:FJKKIrKact:FHIrGi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if score != 0 {
+		t.Fatalf("CompareStrings = %d, want 0", score)
+	}
+}
+
 func TestHashEmptyInput(t *testing.T) {
 	if _, err := HashBytes(nil); err == nil {
 		t.Fatal("HashBytes(nil) succeeded, want error")
