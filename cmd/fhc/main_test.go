@@ -294,8 +294,11 @@ func TestCmdHashCompare(t *testing.T) {
 	if err := cmdCompare([]string{binary}); err == nil {
 		t.Error("compare with one file accepted")
 	}
-	if err := cmdCompare([]string{"-distance", "bogus", binary, other}); err == nil {
-		t.Error("compare with bogus distance accepted")
+	for _, name := range []string{"bogus", "damerau-levenshtein-dp", "levenshtein-dp"} {
+		err := cmdCompare([]string{"-distance", name, binary, other})
+		if err == nil || !strings.Contains(err.Error(), "unknown distance") {
+			t.Errorf("compare -distance %s: err = %v, want unknown distance", name, err)
+		}
 	}
 }
 

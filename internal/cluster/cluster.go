@@ -375,9 +375,12 @@ func (rt *Router) Coordinator() *Coordinator { return rt.coord }
 // Handler returns the routed handler; mount it in an http.Server.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Close stops the health prober and any artifact watcher. In-flight
-// forwards finish on their own contexts; the workers are untouched.
+// Close stops the health prober and any artifact watcher and closes the
+// transport's idle keep-alive connections, whose read/write loops would
+// otherwise outlive the router. In-flight forwards finish on their own
+// contexts; the workers are untouched.
 func (rt *Router) Close() {
 	rt.member.stop()
 	rt.coord.stopWatcher()
+	rt.client.CloseIdleConnections()
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -338,5 +340,49 @@ func TestRouterBodyLimit(t *testing.T) {
 	code, body, _ := post(t, c.URL()+"/v1/classify", "application/octet-stream", big)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body: status %d: %s", code, body)
+	}
+}
+
+// TestRouterCloseNoGoroutineLeak starts a second router over a running
+// fleet — health probing on, an artifact watcher polling, the router's
+// default keep-alive transport — serves classifies through it, and
+// proves Close leaves no goroutine behind: the count settles back to
+// its value before the router existed. The fleet's own router probes
+// once and then sleeps, so it does not perturb the count.
+func TestRouterCloseNoGoroutineLeak(t *testing.T) {
+	c := startCluster(t, cluster.Options{HealthInterval: time.Hour})
+	c.WaitReady(t, 3, 5*time.Second)
+	specs := make([]cluster.WorkerSpec, len(c.Workers))
+	for i, w := range c.Workers {
+		specs[i] = cluster.WorkerSpec{Name: w.Name, URL: "http://" + w.Proxy.Addr()}
+	}
+
+	base := runtime.NumGoroutine()
+	rt, err := cluster.New(specs, cluster.Options{
+		HealthInterval: 20 * time.Millisecond,
+		HealthTimeout:  250 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Coordinator().WatchArtifacts(t.TempDir(), 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(rt.Handler())
+	for _, bin := range fixBins[:6] {
+		classifyInline(t, srv.URL, bin)
+	}
+	time.Sleep(50 * time.Millisecond) // a few probe and watcher rounds
+	srv.Close()
+	rt.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%d goroutines left behind (base %d):\n%s", runtime.NumGoroutine()-base, base, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

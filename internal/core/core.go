@@ -10,8 +10,8 @@
 //
 // Concurrency contract: a trained Classifier is read-mostly and safe for
 // concurrent Classify/ClassifyBatch/PredictProbaBatch/Featurize calls;
-// the two runtime tuning knobs, SetThreshold and SetBruteForceFeaturize,
-// are atomic and may be flipped while serving (each prediction reads a
+// the two runtime tuning knobs, SetThreshold and SetCalibration, are
+// atomic and may be flipped while serving (each prediction reads a
 // consistent snapshot). Train itself is single-caller; it parallelises
 // internally via internal/par.
 package core
@@ -37,20 +37,10 @@ const UnknownLabel = "-1"
 type DistanceName string
 
 // Supported scoring distances. The paper specifies Damerau–Levenshtein.
-// The default names resolve to the bit-parallel implementations; the
-// "-dp" suffixed names select the dynamic-programming oracles they are
-// differentially tested against, kept reachable in production so any
-// deployment can cross-check the fast path bit for bit.
 const (
 	DistanceDL          DistanceName = "damerau-levenshtein"
 	DistanceLevenshtein DistanceName = "levenshtein"
 	DistanceSpamsum     DistanceName = "spamsum"
-	// DistanceDLOracle is the dynamic-programming Equation 1 recurrence
-	// behind DistanceDL — same distance, oracle implementation.
-	DistanceDLOracle DistanceName = "damerau-levenshtein-dp"
-	// DistanceLevenshteinOracle is the dynamic-programming row oracle
-	// behind DistanceLevenshtein.
-	DistanceLevenshteinOracle DistanceName = "levenshtein-dp"
 )
 
 // Func returns the ssdeep distance function for the name.
@@ -62,10 +52,6 @@ func (d DistanceName) Func() (ssdeep.DistanceFunc, error) {
 		return ssdeep.DistanceLevenshtein, nil
 	case DistanceSpamsum:
 		return ssdeep.DistanceSpamsum, nil
-	case DistanceDLOracle:
-		return ssdeep.DistanceDLOracle, nil
-	case DistanceLevenshteinOracle:
-		return ssdeep.DistanceLevenshteinOracle, nil
 	default:
 		return nil, fmt.Errorf("core: unknown distance %q", string(d))
 	}
@@ -98,12 +84,6 @@ type Config struct {
 	// Distance selects the digest-comparison distance; default is the
 	// paper's Damerau–Levenshtein.
 	Distance DistanceName
-	// BruteForceFeaturize disables the grouped 7-gram index and
-	// featurises by scanning every training digest of every class — the
-	// original O(corpus) path. The index is exact, so predictions are
-	// identical either way; the scan is retained as the oracle for
-	// differential testing and for debugging the index itself.
-	BruteForceFeaturize bool
 	// Seed drives every random decision of training.
 	Seed uint64
 	// Workers bounds parallelism; <= 0 selects GOMAXPROCS.

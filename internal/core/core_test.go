@@ -14,7 +14,7 @@ import (
 // testData generates a small corpus and returns its samples plus a
 // two-phase split. Cached across tests via package-level state would
 // compromise isolation; generation takes well under a second.
-func testData(t *testing.T) ([]dataset.Sample, ml.Split) {
+func testData(t testing.TB) ([]dataset.Sample, ml.Split) {
 	t.Helper()
 	specs := []synth.ClassSpec{
 		{Name: "Alpha", Samples: 12},

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/par"
@@ -15,40 +14,27 @@ import (
 type classProfile struct {
 	digests []string // canonical digest strings (sorted, unique)
 	parsed  []ssdeep.Digest
-	// prepared backs the brute-force oracle only; the indexed path keeps
-	// its own prepared state inside the index, so this is built lazily
-	// (profileSet.ensurePrepared) to avoid doubling per-digest memory.
-	prepared []ssdeep.Prepared
 }
 
 // profileSet holds, per feature kind, one profile per known class (class
 // index order), plus a grouped 7-gram index per kind with classes as
 // owner groups. Featurisation queries the index, visiting only training
-// digests that share a 7-gram with the sample; the per-class profile
-// scan is retained as the brute-force oracle.
+// digests that share a 7-gram with the sample.
 type profileSet struct {
 	features []dataset.FeatureKind
 	classes  []string
 	profiles map[dataset.FeatureKind][]classProfile
 	indexes  map[dataset.FeatureKind]*ssdeep.Index
-	// bruteForce switches featurize to the O(kinds × classes × digests)
-	// scan. The index is exact — the common-substring gate zeroes every
-	// pair it skips — so both paths produce identical vectors; the scan
-	// survives only as the differential-testing oracle. The flag is
-	// atomic so operators may flip it while serving; each featurisation
-	// batch snapshots it once on entry.
-	bruteForce atomic.Bool
-	// indexOnce and prepOnce guard the lazy construction of the grouped
-	// indexes and the oracle's prepared digests: each featurisation path
-	// builds only the structures it queries.
+	// indexOnce guards the lazy construction of indexes, so a loaded
+	// classifier that never featurises (a fleet worker no request
+	// reaches, a model only inspected) never pays their memory.
 	indexOnce sync.Once
-	prepOnce  sync.Once
 }
 
 // buildProfiles collects per-class digest profiles from training samples;
-// the per-kind grouped indexes are built lazily on first indexed
-// featurisation. classIndex maps class name to label; samples of classes
-// not present in the index are ignored.
+// the per-kind grouped indexes are built lazily on first featurisation.
+// classIndex maps class name to label; samples of classes not present in
+// the index are ignored.
 func buildProfiles(samples []dataset.Sample, features []dataset.FeatureKind, classes []string) *profileSet {
 	classIndex := make(map[string]int, len(classes))
 	for i, c := range classes {
@@ -123,23 +109,6 @@ func (ps *profileSet) ensureIndexes() {
 	})
 }
 
-// ensurePrepared builds the brute-force oracle's prepared digests on
-// first use. Safe under featurizeBatch's worker pool.
-func (ps *profileSet) ensurePrepared() {
-	ps.prepOnce.Do(func() {
-		for _, kind := range ps.features {
-			profiles := ps.profiles[kind]
-			for ci := range profiles {
-				p := &profiles[ci]
-				p.prepared = make([]ssdeep.Prepared, len(p.parsed))
-				for i, d := range p.parsed {
-					p.prepared[i] = ssdeep.Prepare(d)
-				}
-			}
-		}
-	})
-}
-
 // numFeatures is the featurised dimensionality: |kinds| x |classes|.
 func (ps *profileSet) numFeatures() int {
 	return len(ps.features) * len(ps.classes)
@@ -153,18 +122,7 @@ func (ps *profileSet) numFeatures() int {
 // one grouped index query produces the per-class row, sublinear in the
 // corpus size.
 func (ps *profileSet) featurize(s *dataset.Sample, dist ssdeep.DistanceFunc) []float64 {
-	return ps.featurizeMode(s, dist, ps.bruteForce.Load())
-}
-
-// featurizeMode featurises one sample on an explicitly chosen path. The
-// caller snapshots the bruteForce flag once per batch and passes it down,
-// so a batch never mixes paths even if the toggle flips mid-flight.
-func (ps *profileSet) featurizeMode(s *dataset.Sample, dist ssdeep.DistanceFunc, bruteForce bool) []float64 {
-	if bruteForce {
-		ps.ensurePrepared()
-	} else {
-		ps.ensureIndexes()
-	}
+	ps.ensureIndexes()
 	out := make([]float64, 0, ps.numFeatures())
 	for _, kind := range ps.features {
 		d := s.Digests[kind]
@@ -174,49 +132,22 @@ func (ps *profileSet) featurizeMode(s *dataset.Sample, dist ssdeep.DistanceFunc,
 			}
 			continue
 		}
-		q := ssdeep.Prepare(d)
-		if bruteForce {
-			out = ps.appendBruteForceRow(out, kind, q, dist)
-			continue
-		}
-		for _, score := range ps.indexes[kind].QueryGroupsPrepared(q, len(ps.classes), dist) {
+		for _, score := range ps.indexes[kind].QueryGroupsPrepared(ssdeep.Prepare(d), len(ps.classes), dist) {
 			out = append(out, float64(score))
 		}
 	}
 	return out
 }
 
-// appendBruteForceRow scores one prepared sample digest against every
-// training digest of every class — the original full-scan featurisation,
-// kept as the oracle the indexed path is differentially tested against
-// (and reachable in production via Config.BruteForceFeaturize).
-func (ps *profileSet) appendBruteForceRow(out []float64, kind dataset.FeatureKind, prep ssdeep.Prepared, dist ssdeep.DistanceFunc) []float64 {
-	for ci := range ps.classes {
-		best := 0
-		for _, q := range ps.profiles[kind][ci].prepared {
-			if score := ssdeep.ComparePrepared(prep, q, dist); score > best {
-				best = score
-				if best == 100 {
-					break
-				}
-			}
-		}
-		out = append(out, float64(best))
-	}
-	return out
-}
-
 // featurizeBatch featurises many samples with a bounded worker pool
-// (workers <= 0 runs sequentially). The brute-force toggle is read once
-// for the whole batch.
+// (workers <= 0 runs sequentially).
 func (ps *profileSet) featurizeBatch(samples []dataset.Sample, dist ssdeep.DistanceFunc, workers int) [][]float64 {
 	if workers <= 0 {
 		workers = 1
 	}
-	bruteForce := ps.bruteForce.Load()
 	out := make([][]float64, len(samples))
 	par.Map(len(samples), workers, func(i int) {
-		out[i] = ps.featurizeMode(&samples[i], dist, bruteForce)
+		out[i] = ps.featurize(&samples[i], dist)
 	})
 	return out
 }

@@ -145,6 +145,15 @@ func LoadFile(path string) (*Classifier, error) {
 	return Load(f)
 }
 
+// legacyDistances maps the distance names of artifacts written when the
+// dynamic-programming oracles were selectable onto the bit-parallel
+// names they are proven bit-identical to, so such artifacts load onto
+// the fast path and a re-Save writes the fast name.
+var legacyDistances = map[DistanceName]DistanceName{
+	"damerau-levenshtein-dp": DistanceDL,
+	"levenshtein-dp":         DistanceLevenshtein,
+}
+
 // rawIsNull reports whether a raw JSON payload is absent.
 func rawIsNull(raw json.RawMessage) bool {
 	return len(raw) == 0 || string(raw) == "null"
@@ -178,6 +187,9 @@ func Load(r io.Reader) (*Classifier, error) {
 		return nil, fmt.Errorf("core: loading model: %w", err)
 	}
 	distName := DistanceName(dto.Distance)
+	if fast, ok := legacyDistances[distName]; ok {
+		distName = fast
+	}
 	dist, err := distName.Func()
 	if err != nil {
 		return nil, err

@@ -6,6 +6,24 @@ import (
 	"testing/quick"
 )
 
+// predictProbaOracle is the original pointer-walking inference, kept as
+// the differential oracle for the flattened path: same trees, same
+// accumulation order, bit-identical output.
+func (f *Forest) predictProbaOracle(x []float64) []float64 {
+	proba := make([]float64, f.NumClasses)
+	for _, t := range f.Trees {
+		leaf := t.leaf(x)
+		for i, c := range leaf.Classes {
+			proba[c] += float64(leaf.Weights[i])
+		}
+	}
+	inv := 1 / float64(len(f.Trees))
+	for i := range proba {
+		proba[i] *= inv
+	}
+	return proba
+}
+
 // TestFlatMatchesOracle holds the flattened inference path to the
 // pointer-walking oracle bit for bit: same splits, same leaf payloads,
 // same accumulation order, so even float equality is exact.
@@ -17,7 +35,7 @@ func TestFlatMatchesOracle(t *testing.T) {
 	}
 	for i := range X {
 		flat := f.PredictProba(X[i])
-		oracle := f.PredictProbaOracle(X[i])
+		oracle := f.predictProbaOracle(X[i])
 		for c := range oracle {
 			if flat[c] != oracle[c] {
 				t.Fatalf("sample %d class %d: flat %v != oracle %v", i, c, flat[c], oracle[c])
@@ -37,7 +55,7 @@ func TestFlatMatchesOracleProperty(t *testing.T) {
 		}
 		for i := range X {
 			flat := forest.PredictProba(X[i])
-			oracle := forest.PredictProbaOracle(X[i])
+			oracle := forest.predictProbaOracle(X[i])
 			for c := range oracle {
 				if flat[c] != oracle[c] {
 					return false
@@ -70,7 +88,7 @@ func TestFlatAfterJSONRoundTrip(t *testing.T) {
 	}
 	for i := range X {
 		got := loaded.PredictProba(X[i])
-		want := f.PredictProbaOracle(X[i])
+		want := f.predictProbaOracle(X[i])
 		for c := range want {
 			if got[c] != want[c] {
 				t.Fatalf("sample %d class %d: loaded flat %v != oracle %v", i, c, got[c], want[c])
@@ -113,7 +131,7 @@ func BenchmarkPredictProbaOracle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.PredictProbaOracle(X[i%len(X)])
+		f.predictProbaOracle(X[i%len(X)])
 	}
 }
 

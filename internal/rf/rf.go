@@ -340,8 +340,8 @@ func oobScore(f *Forest, X [][]float64, y []int, root *rng.Source) float64 {
 
 // PredictProba returns the class-probability distribution for one sample:
 // the average of the leaf distributions across trees. Inference runs on
-// the flattened forest (see flatForest); PredictProbaOracle retains the
-// pointer-walking form it is differentially tested against.
+// the flattened forest (see flatForest), which tests hold bit-identical
+// to the pointer walk over Tree.leaf.
 //
 // fhc:hotpath
 func (f *Forest) PredictProba(x []float64) []float64 {
@@ -349,24 +349,6 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 	proba := make([]float64, f.NumClasses)
 	for t := range fl.trees {
 		fl.trees[t].accumulate(x, fl, proba)
-	}
-	inv := 1 / float64(len(f.Trees))
-	for i := range proba {
-		proba[i] *= inv
-	}
-	return proba
-}
-
-// PredictProbaOracle is the original pointer-walking inference, retained
-// as the differential oracle for the flattened path: same trees, same
-// accumulation order, bit-identical output.
-func (f *Forest) PredictProbaOracle(x []float64) []float64 {
-	proba := make([]float64, f.NumClasses)
-	for _, t := range f.Trees {
-		leaf := t.leaf(x)
-		for i, c := range leaf.Classes {
-			proba[c] += float64(leaf.Weights[i])
-		}
 	}
 	inv := 1 / float64(len(f.Trees))
 	for i := range proba {

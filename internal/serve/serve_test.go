@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/openset"
 	"repro/internal/rf"
 	"repro/internal/synth"
 )
@@ -408,10 +409,20 @@ func TestEngineDifferential(t *testing.T) {
 }
 
 // TestEngineServesWhileRetuning drives concurrent classification against
-// concurrent SetThreshold/SetBruteForceFeaturize calls; run under -race
-// this is the regression test for the unsynchronised-retune hazard.
+// concurrent SetThreshold/SetCalibration calls — two independent atomic
+// retunes of the shared classifier; run under -race this is the
+// regression test for the unsynchronised-retune hazard.
 func TestEngineServesWhileRetuning(t *testing.T) {
 	clf, samples := realClassifier(t)
+	cal, err := clf.Calibrate(samples, openset.CalibrateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The classifier is shared across tests: leave it closed-set.
+	t.Cleanup(func() {
+		clf.SetCalibration(nil)
+		clf.SetThreshold(0.5)
+	})
 	e := New(clf, Options{BatchSize: 4, CacheEntries: -1})
 	defer e.Close()
 
@@ -427,7 +438,14 @@ func TestEngineServesWhileRetuning(t *testing.T) {
 			default:
 			}
 			clf.SetThreshold(float64(i%10) / 10)
-			clf.SetBruteForceFeaturize(i%2 == 0)
+			next := cal
+			if i%2 == 1 {
+				next = nil
+			}
+			if err := clf.SetCalibration(next); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 
@@ -450,6 +468,4 @@ func TestEngineServesWhileRetuning(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	tuners.Wait()
-	clf.SetBruteForceFeaturize(false)
-	clf.SetThreshold(0.5)
 }

@@ -228,12 +228,6 @@ var (
 	DistanceSpamsum DistanceFunc = func(a, b string) int {
 		return editdist.Weighted(a, b, editdist.SpamsumCosts())
 	}
-	// DistanceDLOracle and DistanceLevenshteinOracle are the
-	// dynamic-programming forms of DistanceDL and DistanceLevenshtein:
-	// the differential oracles the bit-parallel defaults are tested
-	// against, selectable in production to cross-check a deployment.
-	DistanceDLOracle          DistanceFunc = editdist.OSADP
-	DistanceLevenshteinOracle DistanceFunc = editdist.LevenshteinDP
 )
 
 // Compare returns the similarity score of two digests on the scale 0–100
