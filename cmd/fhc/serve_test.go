@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/synth"
 )
 
 // withStdio captures os.Stdout and os.Stderr during fn.
@@ -252,5 +254,132 @@ func TestCmdServeReloadCorruptArtifact(t *testing.T) {
 	}
 	if !strings.Contains(got[1], `"label":"AppOne"`) {
 		t.Fatalf("incumbent stopped serving after the refused reload: %s", got[1])
+	}
+}
+
+// TestCmdServePolicyFindings pins the findings array of the stream's
+// output lines: a policy and an event sequence that produce every
+// finding kind, asserting each finding's kind, message and order.
+// Batching changes scheduling, not findings: one event per window and
+// the whole stream in one window must print the same bytes, history
+// order effects (new-user behaviour) included.
+func TestCmdServePolicyFindings(t *testing.T) {
+	dir, _ := makeTree(t)
+	model := filepath.Join(t.TempDir(), "model.json")
+	if _, err := withStdout(t, func() error {
+		return cmdTrain([]string{"-corpus", dir, "-model", model, "-threshold", "0.5", "-trees", "40"})
+	}); err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	// One binary per trained class, plus one of a class the model never
+	// saw, which the threshold turns into the unknown label.
+	bins := map[string]string{}
+	for _, bin := range treeBinaries(t, dir) {
+		class := strings.Split(strings.TrimPrefix(bin, dir+string(filepath.Separator)), string(filepath.Separator))[0]
+		if bins[class] == "" {
+			bins[class] = bin
+		}
+	}
+	foreign, err := synth.Generate([]synth.ClassSpec{{Name: "Foreign", Samples: 1}}, synth.Options{Seed: 1234})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins["Foreign"] = filepath.Join(t.TempDir(), "foreign")
+	if err := os.WriteFile(bins["Foreign"], foreign.Samples[0].Binary, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	policy := filepath.Join(t.TempDir(), "policy.json")
+	if err := os.WriteFile(policy, []byte(`{"allowed_by_account":{"bio-1":["AppOne"]},"blocklist":["AppThree"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	event := func(job, user, account, class string) string {
+		return fmt.Sprintf(`{"job_id":"%s","user":"%s","account":"%s","exe":"x","path":"%s"}`,
+			job, user, account, bins[class])
+	}
+	events := writeLines(t, []string{
+		event("1", "alice", "bio-1", "AppOne"),   // clean
+		event("2", "alice", "bio-1", "AppTwo"),   // purpose + new behaviour
+		event("3", "bob", "free", "AppThree"),    // blocked
+		event("4", "carol", "free", "Foreign"),   // unknown
+		event("5", "bob", "bio-1", "AppThree"),   // blocked + purpose
+		event("6", "alice", "bio-1", "AppThree"), // blocked + purpose + new behaviour
+	})
+
+	out, err := withStdout(t, func() error {
+		return cmdServe([]string{"-model", model, "-policy", policy, "-input", events, "-chunk", "1"})
+	})
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	burst, err := withStdout(t, func() error {
+		return cmdServe([]string{"-model", model, "-policy", policy, "-input", events})
+	})
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if burst != out {
+		t.Fatalf("one window per event printed\n%s\nthe whole stream in one window printed\n%s", out, burst)
+	}
+	type finding struct{ Kind, Message string }
+	type result struct {
+		JobID      string    `json:"job_id"`
+		Label      string    `json:"label"`
+		Class      string    `json:"class"`
+		Confidence float64   `json:"confidence"`
+		Error      string    `json:"error"`
+		Findings   []finding `json:"findings"`
+	}
+	var got []result
+	dec := json.NewDecoder(strings.NewReader(out))
+	for dec.More() {
+		var r result
+		if err := dec.Decode(&r); err != nil {
+			t.Fatalf("decode %q: %v", out, err)
+		}
+		got = append(got, r)
+	}
+	if len(got) != 6 {
+		t.Fatalf("serve emitted %d results for 6 events:\n%s", len(got), out)
+	}
+	if got[3].Label != "-1" || got[3].Class == "" {
+		t.Fatalf("foreign binary not labelled unknown: %+v", got[3])
+	}
+	want := [][]finding{
+		nil,
+		{
+			{"purpose-deviation", "job 2: account bio-1 is not allocated for AppTwo"},
+			{"new-user-behaviour", "job 2: first time user alice runs AppTwo"},
+		},
+		{
+			{"blocked-application", "job 3 (bob): AppThree is blocklisted on this system"},
+		},
+		{
+			{"unknown-application", fmt.Sprintf(
+				"job 4 (carol): executable matches no known application (closest %s at %.2f)",
+				got[3].Class, got[3].Confidence)},
+		},
+		{
+			{"blocked-application", "job 5 (bob): AppThree is blocklisted on this system"},
+			{"purpose-deviation", "job 5: account bio-1 is not allocated for AppThree"},
+		},
+		{
+			{"blocked-application", "job 6 (alice): AppThree is blocklisted on this system"},
+			{"purpose-deviation", "job 6: account bio-1 is not allocated for AppThree"},
+			{"new-user-behaviour", "job 6: first time user alice runs AppThree"},
+		},
+	}
+	for i, r := range got {
+		if r.Error != "" || r.JobID != fmt.Sprint(i+1) {
+			t.Fatalf("result %d: %+v", i, r)
+		}
+		if len(r.Findings) != len(want[i]) {
+			t.Fatalf("job %s findings %+v, want %+v", r.JobID, r.Findings, want[i])
+		}
+		for j := range want[i] {
+			if r.Findings[j] != want[i][j] {
+				t.Fatalf("job %s finding %d = %+v, want %+v", r.JobID, j, r.Findings[j], want[i][j])
+			}
+		}
 	}
 }
