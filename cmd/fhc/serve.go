@@ -25,14 +25,15 @@ package main
 //	{"allowed_by_account":{"bio-1":["BLAST"]},"blocklist":["XMRig"]}
 //
 // Both surfaces run on one request core, an internal/httpserve Server
-// that is always built: the stream loop collects content, installs
-// reloaded models and applies every prediction's side effects through
-// it. With -http ADDR that core also listens on the network: classify,
-// batch-classify, model-swap, health and Prometheus metrics endpoints,
-// sharing the stream loop's engine and extraction cache. `-input none
-// -http :8080` serves HTTP only and runs
-// until SIGINT/SIGTERM; with a finite -input the process drains the
-// HTTP listener gracefully once the stream ends.
+// that is always built: the stream loop classifies each window through
+// its batch core (the one behind /v1/classify/batch) and installs
+// reloaded models through it, then applies policy to each answered
+// event. With -http ADDR that core also listens on the network:
+// classify, batch-classify, model-swap, health and Prometheus metrics
+// endpoints, sharing the stream loop's engine and extraction cache.
+// `-input none -http :8080` serves HTTP only and runs until
+// SIGINT/SIGTERM; with a finite -input the process drains the HTTP
+// listener gracefully once the stream ends.
 //
 // With -retrain the service learns continuously (internal/retrain):
 // confident predictions on either surface are harvested into a bounded
@@ -243,11 +244,12 @@ func cmdServe(args []string) error {
 	}
 
 	// One request core serves both surfaces. The Server owns model
-	// installs, the harvest and drift side effects of every served
-	// prediction, the drift-alarm retraining hook and content
-	// collection; the stream loop below is a thin adapter over it, and
-	// it listens on the network only with -http. Both surfaces share the
-	// extraction cache: a binary seen on either is extracted once.
+	// installs, content collection, batch classification, the harvest
+	// and drift side effects of every served prediction and the
+	// drift-alarm retraining hook; the stream loop below is a thin
+	// adapter over it, and it listens on the network only with -http.
+	// Both surfaces share the extraction cache: a binary seen on either
+	// is extracted once.
 	coll := collector.New(collector.Options{})
 	hs := httpserve.New(engine, httpserve.Options{
 		AllowPaths:    *httpPaths,
@@ -258,8 +260,7 @@ func cmdServe(args []string) error {
 		Registry:      reg,
 		Drift:         det,
 	})
-	mon := monitor.New(engine, policy)
-	mon.SetObserver(hs.Served)
+	mon := monitor.New(policy)
 
 	var httpErr chan error
 	stop := make(chan struct{})
@@ -282,39 +283,46 @@ func cmdServe(args []string) error {
 	defer out.Flush()
 	enc := json.NewEncoder(out)
 
-	// One window of decoded events, flushed through ObserveAll so the
-	// engine sees the whole burst at once. Events that failed collection
-	// keep a result slot (obsIndex -1) so output order matches input
-	// order.
-	var pending []monitor.Event
-	var results []serveResult
-	var obsIndex []int
-	var cachedFlags []bool
+	// One window of decoded job events, classified by one ClassifyItems
+	// call so the engine sees the whole burst at once, then checked
+	// against policy in input order. results holds every output line of
+	// the window, error lines included, so output order matches input
+	// order. Content is collected when the window flushes, so a window
+	// also flushes once its inline binaries reach windowInline bytes:
+	// an inline-heavy stream holds about one scanner line's worth of
+	// base64, not -chunk binaries.
+	const windowInline = 64 << 20
+	type job struct {
+		result, line int
+		event        monitor.Event
+	}
+	var (
+		results []serveResult
+		jobs    []job
+		items   []httpserve.ClassifyRequest
+		inline  int
+	)
 	flush := func() error {
-		var obs []monitor.Observation
-		if len(pending) > 0 {
-			obs = mon.ObserveAll(pending)
+		for k, a := range hs.ClassifyItems(items) {
+			j := jobs[k]
+			r := &results[j.result]
+			if a.Err != nil {
+				r.Error = fmt.Sprintf("line %d: %v", j.line, a.Err)
+				continue
+			}
+			r.Label, r.Class = a.Prediction.Label, a.Prediction.Class
+			r.Confidence, r.Verdict = a.Prediction.Confidence, string(a.Prediction.Verdict)
+			r.Cached = a.Cached
+			for _, f := range mon.Apply(j.event, a.Prediction) {
+				r.Findings = append(r.Findings, serveFinding{Kind: f.Kind.String(), Message: f.Message})
+			}
 		}
 		for i := range results {
-			if j := obsIndex[i]; j >= 0 {
-				o := obs[j]
-				results[i].Label = o.Prediction.Label
-				results[i].Class = o.Prediction.Class
-				results[i].Confidence = o.Prediction.Confidence
-				results[i].Verdict = string(o.Prediction.Verdict)
-				results[i].Cached = cachedFlags[j]
-				for _, f := range o.Findings {
-					results[i].Findings = append(results[i].Findings, serveFinding{
-						Kind: f.Kind.String(), Message: f.Message,
-					})
-				}
-			}
 			if err := enc.Encode(&results[i]); err != nil {
 				return err
 			}
 		}
-		pending, results = pending[:0], results[:0]
-		obsIndex, cachedFlags = obsIndex[:0], cachedFlags[:0]
+		results, jobs, items, inline = results[:0], jobs[:0], items[:0], 0
 		return out.Flush()
 	}
 
@@ -332,7 +340,6 @@ func cmdServe(args []string) error {
 			if err := json.Unmarshal(line, &ev); err != nil {
 				results = append(results, serveResult{JobID: ev.JobID,
 					Error: fmt.Sprintf("line %d: %v", lineNo, err)})
-				obsIndex = append(obsIndex, -1)
 				continue
 			}
 			// A line that decodes to an entirely empty event is an unknown
@@ -351,7 +358,6 @@ func cmdServe(args []string) error {
 				}
 				results = append(results, serveResult{
 					Error: fmt.Sprintf("line %d: unknown control object: %v", lineNo, err)})
-				obsIndex = append(obsIndex, -1)
 				continue
 			}
 			if ev.Reload != "" {
@@ -362,7 +368,6 @@ func cmdServe(args []string) error {
 					ev.User != "" || ev.Account != "" || ev.JobName != "" {
 					results = append(results, serveResult{JobID: ev.JobID,
 						Error: fmt.Sprintf("line %d: reload control line carries job fields", lineNo)})
-					obsIndex = append(obsIndex, -1)
 					continue
 				}
 				// The window in progress is flushed first so the
@@ -380,28 +385,17 @@ func cmdServe(args []string) error {
 					res.ModelKind = next.ModelKind()
 				}
 				results = append(results, res)
-				obsIndex = append(obsIndex, -1)
 				if err := flush(); err != nil {
 					return err
 				}
 				continue
 			}
-			sample, cached, _, err := hs.Collect(&httpserve.ClassifyRequest{
-				Exe: ev.Exe, Path: ev.Path, BinaryB64: ev.BinaryB64})
-			if err != nil {
-				results = append(results, serveResult{JobID: ev.JobID,
-					Error: fmt.Sprintf("line %d: %v", lineNo, err)})
-				obsIndex = append(obsIndex, -1)
-			} else {
-				results = append(results, serveResult{JobID: ev.JobID})
-				obsIndex = append(obsIndex, len(pending))
-				cachedFlags = append(cachedFlags, cached)
-				pending = append(pending, monitor.Event{
-					JobID: ev.JobID, User: ev.User, Account: ev.Account,
-					JobName: ev.JobName, Sample: sample,
-				})
-			}
-			if len(pending) >= *chunk {
+			jobs = append(jobs, job{result: len(results), line: lineNo, event: monitor.Event{
+				JobID: ev.JobID, User: ev.User, Account: ev.Account, JobName: ev.JobName}})
+			results = append(results, serveResult{JobID: ev.JobID})
+			items = append(items, httpserve.ClassifyRequest{Exe: ev.Exe, Path: ev.Path, BinaryB64: ev.BinaryB64})
+			inline += len(ev.BinaryB64)
+			if len(items) >= *chunk || inline >= windowInline {
 				if err := flush(); err != nil {
 					return err
 				}

@@ -51,13 +51,14 @@ func main() {
 	fmt.Printf("model trained on %d executables (%d classes), threshold %.2f\n\n",
 		len(installed), len(clf.Classes()), clf.Threshold())
 
-	// The serving engine fronts the classifier for the monitor: repeated
-	// binaries are labelled from its exact-hash prediction cache and
-	// concurrent submissions share micro-batched forest windows.
+	// The serving engine labels every job: repeated binaries are
+	// answered from its exact-hash prediction cache and concurrent
+	// submissions share micro-batched forest windows. The monitor then
+	// applies policy to each label.
 	engine := fhc.NewEngine(clf, fhc.EngineOptions{})
 	defer engine.Close()
 
-	mon := fhc.NewMonitor(engine, fhc.MonitorPolicy{
+	mon := fhc.NewMonitor(fhc.MonitorPolicy{
 		AllowedByAccount: map[string][]string{
 			"bio-123": {"BLAST-like"},
 			"mat-456": {"GROMACS-like", "LAMMPS-like"},
@@ -113,10 +114,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pred, findings := mon.Observe(fhc.JobEvent{
-			JobID: j.jobID, User: j.user, Account: j.account,
-			JobName: j.jobName, Sample: sample,
-		})
+		pred := engine.Classify(&sample)
+		findings := mon.Apply(fhc.JobEvent{
+			JobID: j.jobID, User: j.user, Account: j.account, JobName: j.jobName,
+		}, pred)
 		status := "ok"
 		if len(findings) > 0 {
 			status = "FLAGGED"

@@ -87,8 +87,8 @@ type (
 	Corpus = synth.Corpus
 	// MutationRates parameterises synthetic version evolution.
 	MutationRates = synth.MutationRates
-	// Monitor labels job submissions and applies allocation policy — the
-	// decision-support layer of the paper's Figure 1 workflow.
+	// Monitor applies allocation policy to labelled job submissions —
+	// the decision-support layer of the paper's Figure 1 workflow.
 	Monitor = monitor.Monitor
 	// MonitorPolicy declares allocation purposes and blocklisted classes.
 	MonitorPolicy = monitor.Policy
@@ -113,12 +113,6 @@ type (
 	EngineOptions = serve.Options
 	// EngineStats is a snapshot of engine activity.
 	EngineStats = serve.Stats
-	// MonitorObservation pairs one job event's prediction with its
-	// policy findings, as returned by Monitor.ObserveAll.
-	MonitorObservation = monitor.Observation
-	// MonitorLabeler is the labelling surface a Monitor drives;
-	// *Classifier and *Engine both satisfy it.
-	MonitorLabeler = monitor.Labeler
 	// HTTPServer is the network front end over an Engine: the versioned
 	// classify/swap JSON API plus health and Prometheus metrics
 	// endpoints (see internal/httpserve).
@@ -257,12 +251,11 @@ const (
 	BlockedApplication = monitor.BlockedApplication
 )
 
-// NewMonitor builds a job monitor over a labeler and a policy. Pass the
-// trained classifier directly, or — for an always-on deployment — an
-// Engine wrapping it, so the monitor inherits prediction caching and
-// micro-batched ObserveAll classification.
-func NewMonitor(labeler MonitorLabeler, policy MonitorPolicy) *Monitor {
-	return monitor.New(labeler, policy)
+// NewMonitor builds a job monitor for a policy. Label each job's
+// executable (Classifier.Classify, or an Engine for an always-on
+// deployment) and hand the prediction to Monitor.Apply for findings.
+func NewMonitor(policy MonitorPolicy) *Monitor {
+	return monitor.New(policy)
 }
 
 // NewCollector builds an executable collector with an exact-hash
@@ -276,9 +269,9 @@ func NewCollector(opt CollectorOptions) *Collector {
 // engine micro-batches concurrent Classify calls into the classifier's
 // batch path and fronts them with an exact-hash prediction cache, so
 // duplicate submissions — the common case in the paper's always-on
-// deployment — skip featurisation entirely. Hand the engine to
-// NewMonitor as the labeler of a production Figure-1 workflow, and
-// Close it when done. The zero EngineOptions selects serving defaults.
+// deployment — skip featurisation entirely. Label a production
+// Figure-1 workflow's jobs through it before Monitor.Apply, and Close
+// it when done. The zero EngineOptions selects serving defaults.
 //
 // Retrained models deploy without a restart: Engine.Swap installs a new
 // classifier with zero downtime and orphans every prediction cached

@@ -42,21 +42,24 @@ type Stats struct {
 	Evicted int
 }
 
+// defaultMaxEntries is the extraction-cache bound a zero
+// Options.MaxEntries selects: the serving engine's prediction-cache
+// default, so the two caches keyed by one content digest hold the same
+// working set.
+const defaultMaxEntries = 65536
+
 // Options configures a Collector.
 type Options struct {
-	// MaxEntries bounds the extraction cache; 0 means unbounded. When
+	// MaxEntries bounds the extraction cache; 0 selects the default
+	// (65536 entries) and a negative value leaves it unbounded. When
 	// full, the least recently used entry is evicted (collection
 	// daemons run for months).
 	MaxEntries int
-	// Workers bounds... extraction is per-call synchronous; concurrency
-	// comes from callers. Reserved for future use.
-	Workers int
 }
 
 // Collector deduplicates and extracts job executables. It is safe for
 // concurrent use by many scheduler hooks.
 type Collector struct {
-	opt   Options
 	cache *serve.Cache[*dataset.Sample]
 
 	seen, unique, hits atomic.Int64
@@ -64,10 +67,10 @@ type Collector struct {
 
 // New returns an empty collector.
 func New(opt Options) *Collector {
-	return &Collector{
-		opt:   opt,
-		cache: serve.NewCache[*dataset.Sample](opt.MaxEntries),
+	if opt.MaxEntries == 0 {
+		opt.MaxEntries = defaultMaxEntries
 	}
+	return &Collector{cache: serve.NewCache[*dataset.Sample](opt.MaxEntries)}
 }
 
 // Collect ingests one observed execution of exe with the given binary
@@ -106,16 +109,16 @@ func (c *Collector) Collect(exe string, bin []byte) (dataset.Sample, bool, error
 
 // CollectStream ingests one observed execution whose binary content is
 // streamed out of r: the streaming form of Collect, extracting features
-// incrementally with O(1) memory (see dataset.FromReader; maxSpill
-// bounds the ELF spill buffer, <= 0 selecting the default). The content
-// key is the SHA-256 computed in the same single pass, so deduplication
-// costs no extra read. Unlike Collect, a repeated binary still pays
-// extraction — the key is only known once the stream has been consumed
-// — but it is recognised afterwards and reported cached, keeping the
-// Stats contract. Samples whose structural features were truncated by
-// the spill bound are returned but not cached, so a later request with
-// a higher bound (or the buffered path) can still produce the complete
-// sample.
+// incrementally (see dataset.FromReader). Memory is O(min(size,
+// maxSpill)): maxSpill bounds the ELF spill buffer, <= 0 selecting the
+// default. The content key is the SHA-256 computed in the same single
+// pass, so deduplication costs no extra read. Unlike Collect, a
+// repeated binary still pays extraction — the key is only known once
+// the stream has been consumed — but it is recognised afterwards and
+// reported cached, keeping the Stats contract. Samples whose
+// structural features were truncated by the spill bound are returned
+// but not cached, so a later request with a higher bound (or the
+// buffered path) can still produce the complete sample.
 func (c *Collector) CollectStream(exe string, r io.Reader, maxSpill int) (dataset.Sample, bool, error) {
 	c.seen.Add(1)
 	s, info, err := dataset.FromReader("", "", exe, r, maxSpill)
@@ -157,14 +160,4 @@ func (c *Collector) Stats() Stats {
 // without refreshing its recency.
 func (c *Collector) Known(bin []byte) bool {
 	return c.cache.Contains(serve.KeyOf(bin))
-}
-
-// Range calls fn for every currently cached sample, without refreshing
-// recency. The iteration is a per-shard snapshot: samples collected or
-// evicted while Range runs may or may not be visited, and fn may safely
-// call back into the collector. The continuous-learning layer uses it to
-// warm its training store from binaries the collector has already seen.
-// fn must not mutate the sample; copy it first.
-func (c *Collector) Range(fn func(s *dataset.Sample)) {
-	c.cache.Range(func(_ serve.Key, s *dataset.Sample) { fn(s) })
 }

@@ -2,7 +2,8 @@ package collector
 
 import (
 	"bytes"
-	"fmt"
+	"crypto/sha256"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -211,23 +212,26 @@ func TestKnown(t *testing.T) {
 	}
 }
 
-func TestRangeSnapshotsCachedSamples(t *testing.T) {
-	bins := binaries(t, 3)
+// TestDefaultCacheIsBounded proves a zero Options bounds the extraction
+// cache: a long-running collector must not keep one sample per distinct
+// binary forever. Keys go straight into the cache, skipping extraction.
+func TestDefaultCacheIsBounded(t *testing.T) {
 	c := New(Options{})
-	for i, bin := range bins {
-		if _, _, err := c.Collect(fmt.Sprintf("exe-%d", i), bin); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 70000; i++ {
+		c.cache.Add(sha256.Sum256([]byte(strconv.Itoa(i))), &dataset.Sample{})
 	}
-	seen := map[string]bool{}
-	c.Range(func(s *dataset.Sample) {
-		seen[s.Exe] = true
-		// Calling back into the collector must not deadlock.
-		if !c.Known(bins[0]) {
-			t.Error("Known failed inside Range")
-		}
-	})
-	if len(seen) != 3 {
-		t.Fatalf("Range visited %d samples, want 3: %v", len(seen), seen)
+	if n := c.cache.Len(); n > defaultMaxEntries {
+		t.Fatalf("default cache holds %d entries, bound %d", n, defaultMaxEntries)
+	}
+	if c.Stats().Evicted == 0 {
+		t.Fatal("default cache evicted nothing past its bound")
+	}
+
+	unbounded := New(Options{MaxEntries: -1})
+	for i := 0; i < 70000; i++ {
+		unbounded.cache.Add(sha256.Sum256([]byte(strconv.Itoa(i))), &dataset.Sample{})
+	}
+	if n, ev := unbounded.cache.Len(), unbounded.Stats().Evicted; n != 70000 || ev != 0 {
+		t.Fatalf("negative MaxEntries: %d entries, %d evicted; want 70000 and 0", n, ev)
 	}
 }

@@ -23,7 +23,10 @@
 //   - raw streaming: Content-Type application/octet-stream with the
 //     binary as the body (?exe=name names it). The body is featurised
 //     off the wire — SHA-256, the file digest and the strings digest in
-//     one pass with O(1) memory — never materialised.
+//     one pass — and held only in the ELF spill buffer, so a request
+//     costs O(min(size, MaxSpillBytes)) memory. The default spill bound
+//     is MaxBodyBytes, which copies every accepted body whole; lower
+//     Options.MaxSpillBytes for a bound below the body limit.
 //   - inline JSON: {"binary_b64":...} (or {"path":...} where allowed),
 //     decoded through a streaming base64 reader into the same
 //     featuriser rather than into a second in-memory copy.
@@ -82,7 +85,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
-	"repro/internal/monitor"
 	"repro/internal/openset"
 	"repro/internal/retrain"
 	"repro/internal/serve"
@@ -98,9 +100,11 @@ type Options struct {
 	// keep for ELF structural parsing (symbols, DT_NEEDED): bodies that
 	// fit are featurised bit-identically to the buffered path, larger
 	// ones stream through with the structural digests left zero (see
-	// dataset.FromReader). Default: MaxBodyBytes, so no feature is ever
-	// lost; lower it to trade symbol features on huge binaries for a
-	// smaller per-slot memory bound.
+	// dataset.FromReader). A streaming request holds O(min(body size,
+	// MaxSpillBytes)) bytes. Default: MaxBodyBytes, so no feature is
+	// ever lost and every accepted body is copied whole; lower it to
+	// trade symbol features on huge binaries for a smaller per-slot
+	// memory bound.
 	MaxSpillBytes int
 	// MaxConcurrent bounds concurrently executing classification and
 	// swap requests; excess requests are answered 429 immediately —
@@ -541,14 +545,15 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 
 // ----- handlers ---------------------------------------------------------
 
-// Collect streams a request's executable content — inline base64
+// collect streams a request's executable content — inline base64
 // through a streaming decoder, or a path straight off the filesystem —
-// into the collector's featuriser, never materialising the binary. On
-// failure code is the HTTP status to answer: 400 for request-shape
-// problems, 422 when well-formed content failed feature extraction. It
-// does not apply Options.AllowPaths (collectFromRequest does, for the
-// HTTP routes): the JSON-lines stream of `fhc serve` is trusted.
-func (s *Server) Collect(req *ClassifyRequest) (sample dataset.Sample, cached bool, code int, err error) {
+// into the collector's featuriser, which keeps at most MaxSpillBytes of
+// it (the ELF spill buffer). On failure code is the HTTP status to
+// answer: 400 for request-shape problems, 422 when well-formed content
+// failed feature extraction. It does not apply Options.AllowPaths
+// (collectFromRequest does, for the HTTP routes): ClassifyItems, the
+// JSON-lines stream's entry, is trusted.
+func (s *Server) collect(req *ClassifyRequest) (sample dataset.Sample, cached bool, code int, err error) {
 	switch {
 	case req.Path != "" && req.BinaryB64 != "":
 		return sample, false, http.StatusBadRequest, errors.New("request has both path and binary_b64")
@@ -575,12 +580,12 @@ func (s *Server) Collect(req *ClassifyRequest) (sample dataset.Sample, cached bo
 	return sample, cached, 0, nil
 }
 
-// collectFromRequest is Collect behind the HTTP routes' path gate.
+// collectFromRequest is collect behind the HTTP routes' path gate.
 func (s *Server) collectFromRequest(req *ClassifyRequest) (dataset.Sample, bool, int, error) {
 	if req.Path != "" && req.BinaryB64 == "" && !s.opt.AllowPaths {
 		return dataset.Sample{}, false, http.StatusBadRequest, errors.New("path requests are disabled on this server (send binary_b64)")
 	}
-	return s.Collect(req)
+	return s.collect(req)
 }
 
 // octetStream is the Content-Type selecting the raw streaming leg.
@@ -597,8 +602,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 // handleClassifyRaw is the raw streaming leg: the body is the binary,
 // fed straight off the wire into the single-pass featuriser — no
-// base64, no io.ReadAll, O(1) memory however large the executable. The
-// submitted name rides the ?exe= query parameter.
+// base64, no io.ReadAll, and O(min(size, MaxSpillBytes)) memory for the
+// ELF spill buffer. The submitted name rides the ?exe= query parameter.
 //
 // fhc:hotpath
 func (s *Server) handleClassifyRaw(w http.ResponseWriter, r *http.Request) {
@@ -617,7 +622,7 @@ func (s *Server) handleClassifyRaw(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pred := s.engine.Classify(&sample)
-	s.Served(monitor.Event{Sample: sample}, pred, nil)
+	s.served(&sample, pred)
 	writeClassifyResponse(w, exe, pred, cached)
 }
 
@@ -705,7 +710,7 @@ func (s *Server) classifySlow(w http.ResponseWriter, r *http.Request, prefix []b
 		return
 	}
 	pred := s.engine.Classify(&sample)
-	s.Served(monitor.Event{Sample: sample}, pred, nil)
+	s.served(&sample, pred)
 	writeClassifyResponse(w, req.Exe, pred, cached)
 }
 
@@ -957,14 +962,12 @@ func appendJSONString[T string | []byte](dst []byte, s T) []byte {
 	return append(dst, '"')
 }
 
-// Served applies a classifier-served prediction's side effects on
-// either surface: the retrainer's harvest (behind its own gates) and
-// the drift observation. It is a monitor.Observer, so the JSON-lines
-// stream registers it with monitor.SetObserver; the HTTP routes call it
-// directly.
-func (s *Server) Served(e monitor.Event, pred core.Prediction, _ []monitor.Finding) {
+// served applies a classifier-served prediction's side effects on
+// every surface: the retrainer's harvest (behind its own gates) and the
+// drift observation.
+func (s *Server) served(sample *dataset.Sample, pred core.Prediction) {
 	if rt := s.opt.Retrainer; rt != nil {
-		rt.ObservePrediction(&e.Sample, pred)
+		rt.ObservePrediction(sample, pred)
 	}
 	s.observe(pred)
 }
@@ -999,10 +1002,77 @@ func classifyResponse(exe string, pred core.Prediction, cached bool) ClassifyRes
 		Confidence: pred.Confidence, Verdict: string(pred.Verdict), Cached: cached}
 }
 
-// handleBatch classifies many binaries through one ClassifyAll call, so
-// a submitted burst fans into shared engine windows instead of N
-// sequential classifications. Items that fail resolution or extraction
-// keep their slot with a per-item error; order is preserved.
+// ItemResult is one ClassifyItems answer: the prediction, whether the
+// binary was an extraction-cache hit, or the error that kept the item
+// from being classified.
+type ItemResult struct {
+	Prediction core.Prediction
+	Cached     bool
+	Err        error
+}
+
+// errNeedsBody answers a hash-first batch item the prediction cache
+// cannot satisfy: the client must upload that binary.
+var errNeedsBody = errors.New("needs_body")
+
+// ClassifyItems is the batch core of /v1/classify/batch for trusted
+// callers — the JSON-lines stream of `fhc serve` — which may name
+// server-local paths whatever Options.AllowPaths says. It returns one
+// result per item, in item order.
+func (s *Server) ClassifyItems(items []ClassifyRequest) []ItemResult {
+	return s.classifyItems(items, s.collect)
+}
+
+// classifyItems classifies many binaries through one ClassifyAll call,
+// so a burst fans into shared engine windows instead of N sequential
+// classifications. Hash-first items probe the prediction cache; every
+// other item is collected through collect. Items that fail keep their
+// slot with an error, and each classified prediction's side effects are
+// applied through served.
+func (s *Server) classifyItems(items []ClassifyRequest,
+	collect func(*ClassifyRequest) (dataset.Sample, bool, int, error)) []ItemResult {
+	out := make([]ItemResult, len(items))
+	var (
+		good  []int
+		batch = make([]dataset.Sample, 0, len(items))
+	)
+	for i := range items {
+		item := &items[i]
+		if item.SHA256 != "" {
+			key, err := hashFirstKey(item)
+			if err != nil {
+				out[i].Err = err
+				continue
+			}
+			if pred, hit := s.lookup(key); hit {
+				out[i] = ItemResult{Prediction: pred, Cached: true}
+			} else {
+				out[i].Err = errNeedsBody
+			}
+			continue
+		}
+		sample, cached, _, err := collect(item)
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		out[i].Cached = cached
+		good = append(good, i)
+		batch = append(batch, sample)
+	}
+	if len(batch) > 0 {
+		preds := s.engine.ClassifyAll(batch)
+		for j, i := range good {
+			s.served(&batch[j], preds[j])
+			out[i].Prediction = preds[j]
+		}
+	}
+	return out
+}
+
+// handleBatch answers /v1/classify/batch through classifyItems behind
+// the path gate. Hash-first misses keep their slot with the needs_body
+// marker so the client knows which binaries to upload.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if !decodeJSON(w, r, s.opt.MaxBodyBytes, &req) {
@@ -1013,47 +1083,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BatchResponse{Results: make([]ClassifyResponse, len(req.Samples))}
-	type slot struct {
-		index  int
-		cached bool
-	}
-	var (
-		good  []slot
-		batch = make([]dataset.Sample, 0, len(req.Samples))
-	)
-	for i := range req.Samples {
-		item := &req.Samples[i]
-		resp.Results[i].Exe = item.Exe
-		if item.SHA256 != "" {
-			// Hash-first batch items probe the prediction cache; misses
-			// keep their slot with the needs_body marker so the client
-			// knows which binaries to upload.
-			key, err := hashFirstKey(item)
-			if err != nil {
-				resp.Results[i].Error = err.Error()
-				continue
-			}
-			if pred, hit := s.lookup(key); hit {
-				resp.Results[i] = classifyResponse(item.Exe, pred, true)
-			} else {
-				resp.Results[i].Error = "needs_body"
-			}
+	for i, res := range s.classifyItems(req.Samples, s.collectFromRequest) {
+		exe := req.Samples[i].Exe
+		if res.Err != nil {
+			resp.Results[i] = ClassifyResponse{Exe: exe, Error: res.Err.Error()}
 			continue
 		}
-		sample, cached, _, err := s.collectFromRequest(item)
-		if err != nil {
-			resp.Results[i].Error = err.Error()
-			continue
-		}
-		good = append(good, slot{index: i, cached: cached})
-		batch = append(batch, sample)
-	}
-	if len(batch) > 0 {
-		preds := s.engine.ClassifyAll(batch)
-		for j, sl := range good {
-			s.Served(monitor.Event{Sample: batch[j]}, preds[j], nil)
-			resp.Results[sl.index] = classifyResponse(req.Samples[sl.index].Exe, preds[j], sl.cached)
-		}
+		resp.Results[i] = classifyResponse(exe, res.Prediction, res.Cached)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -3,7 +3,9 @@ package httpserve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -957,5 +960,66 @@ func TestHTTPManualSwapResetsIncumbent(t *testing.T) {
 	if res.IncumbentF1 >= res.CandidateF1 {
 		t.Fatalf("incumbent not reset to the degraded model: incumbent %v vs candidate %v",
 			res.IncumbentF1, res.CandidateF1)
+	}
+}
+
+// TestHTTPShutdownNoGoroutineLeak serves every classify protocol, the
+// batch route and a metrics scrape over a real socket, then proves
+// Shutdown leaves nothing of the server running. The engine is built
+// before the baseline: its owner closes it, not Shutdown.
+func TestHTTPShutdownNoGoroutineLeak(t *testing.T) {
+	fixture(t)
+	engine := serve.New(fixRF, serve.Options{})
+	defer engine.Close()
+	base := runtime.NumGoroutine()
+
+	s := New(engine, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(ln) }()
+	url := "http://" + ln.Addr().String()
+	client := &http.Client{Transport: &http.Transport{}}
+
+	classifyOver(t, client, url, fixBins[0])
+	resp, err := client.Post(url+"/v1/classify?exe=raw", octetStream, bytes.NewReader(fixBins[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	sum := sha256.Sum256(fixBins[0])
+	if code, body := postJSON(t, client, url+"/v1/classify",
+		ClassifyRequest{SHA256: hex.EncodeToString(sum[:])}); code != http.StatusOK {
+		t.Fatalf("hash-first probe: %d %s", code, body)
+	}
+	if code, body := postJSON(t, client, url+"/v1/classify/batch", BatchRequest{Samples: []ClassifyRequest{
+		{Exe: "a", BinaryB64: base64.StdEncoding.EncodeToString(fixBins[2])},
+		{Exe: "b", SHA256: hex.EncodeToString(sum[:])},
+	}}); code != http.StatusOK {
+		t.Fatalf("batch: %d %s", code, body)
+	}
+	scrape(t, client, url)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveErr; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	client.CloseIdleConnections()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%d goroutines left behind (base %d):\n%s", runtime.NumGoroutine()-base, base, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -11,10 +11,16 @@
 //  3. Is an application similar to a (known) set of applications that
 //     should not be executed on the HPC system?
 //
-// Concurrency contract: a Monitor is safe for concurrent Observe and
-// ObserveAll calls — per-user history updates are serialised internally,
-// and classification concurrency is delegated to the labeler (hand the
-// serving engine to New for cached, micro-batched labelling).
+// The monitor is policy only: the caller labels each job's executable
+// (a core.Classifier, the serving engine, or the HTTP batch core that
+// `fhc serve` runs its stream through) and hands the prediction to
+// Apply.
+//
+// Concurrency contract: a Monitor is safe for concurrent Apply calls —
+// per-user history updates are serialised internally. Findings that
+// depend on history (new-user behaviour) follow the order of the Apply
+// calls, so a caller that labels a burst at once applies it in event
+// order.
 package monitor
 
 import (
@@ -23,23 +29,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 )
-
-// Labeler labels one sample; *core.Classifier satisfies it, as does the
-// serving engine (internal/serve), which is the labeler a production
-// deployment should hand to New: duplicate submissions then hit its
-// prediction cache and concurrent submissions share micro-batches.
-type Labeler interface {
-	Classify(*dataset.Sample) core.Prediction
-}
-
-// BatchLabeler is the optional batch surface of a Labeler. ObserveAll
-// uses it when available so a burst of submissions is classified in one
-// window; the serving engine satisfies it.
-type BatchLabeler interface {
-	ClassifyAll(samples []dataset.Sample) []core.Prediction
-}
 
 // Policy declares what each allocation may run and what nothing may run.
 type Policy struct {
@@ -61,8 +51,6 @@ type Event struct {
 	User, Account string
 	// JobName is the user-provided (untrusted) name.
 	JobName string
-	// Sample carries the executable's extracted features.
-	Sample dataset.Sample
 }
 
 // FindingKind classifies a policy finding.
@@ -104,34 +92,19 @@ type Finding struct {
 	Message string
 }
 
-// Observer receives every observation a Monitor makes: the event, its
-// prediction and the policy findings. The continuous-learning layer
-// registers one to harvest labelled windows off the monitoring stream.
-// Observers run synchronously on the observing goroutine, outside the
-// monitor's locks, so they may call back into the monitor but should
-// return quickly. A panicking observer is recovered: monitoring is the
-// serve loop's side channel, and a buggy hook must not take down the
-// classification path that invoked it.
-type Observer func(e Event, pred core.Prediction, findings []Finding)
-
-// Monitor labels job events and applies policy. It is safe for
-// concurrent use: job streams arrive from many scheduler hooks at once.
+// Monitor applies allocation policy to labelled job events. It is safe
+// for concurrent use: job streams arrive from many scheduler hooks at
+// once.
 type Monitor struct {
-	labeler Labeler
-	policy  Policy
-
-	mu       sync.Mutex
-	allowed  map[string]map[string]bool
-	blocked  map[string]bool
-	history  map[string]map[string]int // user -> class -> observations
-	observer Observer
+	mu      sync.Mutex
+	allowed map[string]map[string]bool
+	blocked map[string]bool
+	history map[string]map[string]int // user -> class -> observations
 }
 
-// New builds a monitor over a trained labeler and a policy.
-func New(labeler Labeler, policy Policy) *Monitor {
+// New builds a monitor for a policy.
+func New(policy Policy) *Monitor {
 	m := &Monitor{
-		labeler: labeler,
-		policy:  policy,
 		allowed: map[string]map[string]bool{},
 		blocked: map[string]bool{},
 		history: map[string]map[string]int{},
@@ -149,77 +122,11 @@ func New(labeler Labeler, policy Policy) *Monitor {
 	return m
 }
 
-// Observation pairs one event's prediction with its policy findings.
-type Observation struct {
-	// Prediction is the classifier's label for the event's sample.
-	Prediction core.Prediction
-	// Findings are the policy observations, empty for a clean job.
-	Findings []Finding
-}
-
-// SetObserver registers fn to receive every subsequent observation;
-// nil removes the observer. Safe to call while other goroutines
-// observe, though registrations racing in-flight observations may miss
-// them — register before serving starts when completeness matters.
-func (m *Monitor) SetObserver(fn Observer) {
-	m.mu.Lock()
-	m.observer = fn
-	m.mu.Unlock()
-}
-
-// notify delivers one observation to the registered observer, if any,
-// outside the monitor's locks. An observer panic is swallowed here —
-// the observation itself (prediction, findings, history) is already
-// complete, so the caller's result is unaffected.
-func (m *Monitor) notify(e Event, pred core.Prediction, findings []Finding) {
-	m.mu.Lock()
-	fn := m.observer
-	m.mu.Unlock()
-	if fn != nil {
-		defer func() { _ = recover() }()
-		fn(e, pred, findings)
-	}
-}
-
-// Observe labels one job event, records it in the user's history and
-// returns the prediction together with any policy findings.
-func (m *Monitor) Observe(e Event) (core.Prediction, []Finding) {
-	pred := m.labeler.Classify(&e.Sample)
-	findings := m.apply(e, pred)
-	m.notify(e, pred, findings)
-	return pred, findings
-}
-
-// ObserveAll labels a burst of job events and applies policy to each.
-// When the labeler supports batch classification the whole burst is
-// classified in one window; policy and history are then applied
-// sequentially in event order, so the findings equal those of calling
-// Observe event by event.
-func (m *Monitor) ObserveAll(events []Event) []Observation {
-	var preds []core.Prediction
-	if bl, ok := m.labeler.(BatchLabeler); ok {
-		samples := make([]dataset.Sample, len(events))
-		for i := range events {
-			samples[i] = events[i].Sample
-		}
-		preds = bl.ClassifyAll(samples)
-	} else {
-		preds = make([]core.Prediction, len(events))
-		for i := range events {
-			preds[i] = m.labeler.Classify(&events[i].Sample)
-		}
-	}
-	out := make([]Observation, len(events))
-	for i := range events {
-		out[i] = Observation{Prediction: preds[i], Findings: m.apply(events[i], preds[i])}
-		m.notify(events[i], preds[i], out[i].Findings)
-	}
-	return out
-}
-
-// apply records one labelled event in the user's history and evaluates
-// the policy, answering the paper's three guiding questions.
-func (m *Monitor) apply(e Event, pred core.Prediction) []Finding {
+// Apply records one labelled event in the user's history and evaluates
+// the policy, answering the paper's three guiding questions. An unknown
+// label yields only the unknown-application finding and stays out of
+// the history.
+func (m *Monitor) Apply(e Event, pred core.Prediction) []Finding {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 

@@ -6,28 +6,25 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/openset"
 )
 
-// stubLabeler labels samples by their Class field with fixed confidence,
-// using "-1" for classes outside its known set.
-type stubLabeler struct {
-	known map[string]bool
-}
+// known is the stub classifier's class set: classes outside it are
+// labelled unknown.
+var known = map[string]bool{"BLAST": true, "GROMACS": true, "XMRig": true}
 
-func (s *stubLabeler) Classify(sample *dataset.Sample) core.Prediction {
-	if s.known[sample.Class] {
-		return core.Prediction{Label: sample.Class, Class: sample.Class, Confidence: 0.95}
+// label stands in for the classifier: it labels an executable of class
+// by that class with fixed confidence, using the unknown label (closest
+// class "NearestThing") for classes outside known.
+func label(class string) core.Prediction {
+	if known[class] {
+		return core.Prediction{Label: class, Class: class, Confidence: 0.95}
 	}
 	return core.Prediction{Label: core.UnknownLabel, Class: "NearestThing", Confidence: 0.3}
 }
 
 func testMonitor() *Monitor {
-	labeler := &stubLabeler{known: map[string]bool{
-		"BLAST": true, "GROMACS": true, "XMRig": true,
-	}}
-	return New(labeler, Policy{
+	return New(Policy{
 		AllowedByAccount: map[string][]string{
 			"bio-1": {"BLAST"},
 			"mat-2": {"GROMACS"},
@@ -36,13 +33,11 @@ func testMonitor() *Monitor {
 	})
 }
 
-func event(job, user, account, class string) Event {
-	return Event{
-		JobID:   job,
-		User:    user,
-		Account: account,
-		Sample:  dataset.Sample{Class: class, Version: "1", Exe: "x"},
-	}
+// observe labels one job whose executable is of class and applies the
+// monitor's policy to it.
+func observe(m *Monitor, job, user, account, class string) (core.Prediction, []Finding) {
+	pred := label(class)
+	return pred, m.Apply(Event{JobID: job, User: user, Account: account}, pred)
 }
 
 func kinds(findings []Finding) []FindingKind {
@@ -55,7 +50,7 @@ func kinds(findings []Finding) []FindingKind {
 
 func TestCleanJobHasNoFindings(t *testing.T) {
 	m := testMonitor()
-	pred, findings := m.Observe(event("1", "alice", "bio-1", "BLAST"))
+	pred, findings := observe(m, "1", "alice", "bio-1", "BLAST")
 	if pred.Label != "BLAST" {
 		t.Fatalf("label = %q", pred.Label)
 	}
@@ -66,7 +61,7 @@ func TestCleanJobHasNoFindings(t *testing.T) {
 
 func TestUnknownApplicationFinding(t *testing.T) {
 	m := testMonitor()
-	pred, findings := m.Observe(event("2", "bob", "bio-1", "MysteryApp"))
+	pred, findings := observe(m, "2", "bob", "bio-1", "MysteryApp")
 	if pred.Label != core.UnknownLabel {
 		t.Fatalf("label = %q", pred.Label)
 	}
@@ -80,7 +75,7 @@ func TestUnknownApplicationFinding(t *testing.T) {
 
 func TestPurposeDeviation(t *testing.T) {
 	m := testMonitor()
-	_, findings := m.Observe(event("3", "carol", "bio-1", "GROMACS"))
+	_, findings := observe(m, "3", "carol", "bio-1", "GROMACS")
 	ks := kinds(findings)
 	if len(ks) != 1 || ks[0] != PurposeDeviation {
 		t.Fatalf("findings = %v", findings)
@@ -89,20 +84,20 @@ func TestPurposeDeviation(t *testing.T) {
 
 func TestUnrestrictedAccount(t *testing.T) {
 	m := testMonitor()
-	if _, findings := m.Observe(event("4", "dave", "free-9", "GROMACS")); len(findings) != 0 {
+	if _, findings := observe(m, "4", "dave", "free-9", "GROMACS"); len(findings) != 0 {
 		t.Fatalf("unrestricted account flagged: %v", findings)
 	}
 }
 
 func TestNewUserBehaviour(t *testing.T) {
 	m := testMonitor()
-	if _, f := m.Observe(event("5", "erin", "bio-1", "BLAST")); len(f) != 0 {
+	if _, f := observe(m, "5", "erin", "bio-1", "BLAST"); len(f) != 0 {
 		t.Fatalf("first job flagged: %v", f)
 	}
-	if _, f := m.Observe(event("6", "erin", "bio-1", "BLAST")); len(f) != 0 {
+	if _, f := observe(m, "6", "erin", "bio-1", "BLAST"); len(f) != 0 {
 		t.Fatalf("repeat job flagged: %v", f)
 	}
-	_, findings := m.Observe(event("7", "erin", "mat-2", "GROMACS"))
+	_, findings := observe(m, "7", "erin", "mat-2", "GROMACS")
 	found := false
 	for _, f := range findings {
 		if f.Kind == NewUserBehaviour {
@@ -116,7 +111,7 @@ func TestNewUserBehaviour(t *testing.T) {
 
 func TestBlockedApplication(t *testing.T) {
 	m := testMonitor()
-	_, findings := m.Observe(event("8", "mallory", "free-9", "XMRig"))
+	_, findings := observe(m, "8", "mallory", "free-9", "XMRig")
 	if len(findings) == 0 || findings[0].Kind != BlockedApplication {
 		t.Fatalf("blocklisted app not flagged: %v", findings)
 	}
@@ -124,9 +119,9 @@ func TestBlockedApplication(t *testing.T) {
 
 func TestUserHistory(t *testing.T) {
 	m := testMonitor()
-	m.Observe(event("9", "zoe", "free-9", "BLAST"))
-	m.Observe(event("10", "zoe", "free-9", "BLAST"))
-	m.Observe(event("11", "zoe", "free-9", "GROMACS"))
+	observe(m, "9", "zoe", "free-9", "BLAST")
+	observe(m, "10", "zoe", "free-9", "BLAST")
+	observe(m, "11", "zoe", "free-9", "GROMACS")
 	hist := m.UserHistory("zoe")
 	if len(hist) != 2 || hist[0].Class != "BLAST" || hist[0].Count != 2 {
 		t.Fatalf("history = %v", hist)
@@ -138,7 +133,7 @@ func TestUserHistory(t *testing.T) {
 
 func TestUnknownDoesNotPolluteHistory(t *testing.T) {
 	m := testMonitor()
-	m.Observe(event("12", "pat", "free-9", "MysteryApp"))
+	observe(m, "12", "pat", "free-9", "MysteryApp")
 	if got := m.UserHistory("pat"); len(got) != 0 {
 		t.Fatalf("unknown observation entered history: %v", got)
 	}
@@ -152,7 +147,7 @@ func TestConcurrentObserve(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				m.Observe(event("c", "conc", "free-9", "BLAST"))
+				observe(m, "c", "conc", "free-9", "BLAST")
 			}
 		}(w)
 	}
@@ -160,99 +155,6 @@ func TestConcurrentObserve(t *testing.T) {
 	hist := m.UserHistory("conc")
 	if len(hist) != 1 || hist[0].Count != 400 {
 		t.Fatalf("concurrent history = %v, want 400 BLAST", hist)
-	}
-}
-
-// batchStubLabeler adds the batch surface and records whether it was
-// used.
-type batchStubLabeler struct {
-	stubLabeler
-	batchCalls int
-	batched    int
-}
-
-func (b *batchStubLabeler) ClassifyAll(samples []dataset.Sample) []core.Prediction {
-	b.batchCalls++
-	b.batched += len(samples)
-	out := make([]core.Prediction, len(samples))
-	for i := range samples {
-		out[i] = b.Classify(&samples[i])
-	}
-	return out
-}
-
-func observeAllEvents() []Event {
-	return []Event{
-		event("b1", "alice", "bio-1", "BLAST"),
-		event("b2", "alice", "bio-1", "GROMACS"),   // deviation + new behaviour
-		event("b3", "bob", "free-9", "MysteryApp"), // unknown
-		event("b4", "alice", "bio-1", "BLAST"),
-		event("b5", "mallory", "free-9", "XMRig"), // blocked
-	}
-}
-
-// TestObserveAllUsesBatchLabeler proves a burst goes through the batch
-// surface in one window.
-func TestObserveAllUsesBatchLabeler(t *testing.T) {
-	labeler := &batchStubLabeler{stubLabeler: stubLabeler{known: map[string]bool{
-		"BLAST": true, "GROMACS": true, "XMRig": true,
-	}}}
-	m := New(labeler, Policy{Blocklist: []string{"XMRig"}})
-	events := observeAllEvents()
-	obs := m.ObserveAll(events)
-	if labeler.batchCalls != 1 || labeler.batched != len(events) {
-		t.Fatalf("batch labeler saw %d calls / %d samples, want 1 / %d",
-			labeler.batchCalls, labeler.batched, len(events))
-	}
-	if len(obs) != len(events) {
-		t.Fatalf("got %d observations for %d events", len(obs), len(events))
-	}
-}
-
-// TestObserveAllMatchesSequentialObserve pins the contract that batching
-// changes scheduling, not findings: a burst observed at once must
-// produce exactly the per-event results, including the history-order
-// effects (new-user-behaviour depends on what came earlier in the
-// burst).
-func TestObserveAllMatchesSequentialObserve(t *testing.T) {
-	events := observeAllEvents()
-
-	seq := testMonitor()
-	var wantPreds []core.Prediction
-	var wantFindings [][]FindingKind
-	for _, e := range events {
-		p, f := seq.Observe(e)
-		wantPreds = append(wantPreds, p)
-		wantFindings = append(wantFindings, kinds(f))
-	}
-
-	batched := testMonitor()
-	obs := batched.ObserveAll(events)
-	for i := range events {
-		if obs[i].Prediction != wantPreds[i] {
-			t.Fatalf("event %d: prediction %+v, want %+v", i, obs[i].Prediction, wantPreds[i])
-		}
-		got := kinds(obs[i].Findings)
-		if len(got) != len(wantFindings[i]) {
-			t.Fatalf("event %d: findings %v, want %v", i, got, wantFindings[i])
-		}
-		for j := range got {
-			if got[j] != wantFindings[i][j] {
-				t.Fatalf("event %d: findings %v, want %v", i, got, wantFindings[i])
-			}
-		}
-	}
-	// Both monitors accumulated the same history.
-	for _, user := range []string{"alice", "bob", "mallory"} {
-		a, b := seq.UserHistory(user), batched.UserHistory(user)
-		if len(a) != len(b) {
-			t.Fatalf("user %s history diverged: %v vs %v", user, a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("user %s history diverged: %v vs %v", user, a, b)
-			}
-		}
 	}
 }
 
@@ -269,125 +171,53 @@ func TestFindingKindString(t *testing.T) {
 	}
 }
 
-func TestObserverReceivesEveryObservation(t *testing.T) {
-	m := testMonitor()
-	type seen struct {
-		jobID string
-		label string
-		n     int // findings
-	}
-	var got []seen
-	m.SetObserver(func(e Event, pred core.Prediction, findings []Finding) {
-		got = append(got, seen{jobID: e.JobID, label: pred.Label, n: len(findings)})
-	})
-
-	events := []Event{
-		{JobID: "1", User: "alice", Account: "bio-1", Sample: dataset.Sample{Class: "BLAST"}},
-		{JobID: "2", User: "alice", Sample: dataset.Sample{Class: "Mystery"}},
-	}
-	m.Observe(events[0])
-	m.ObserveAll(events[1:])
-
-	if len(got) != 2 {
-		t.Fatalf("observer saw %d observations, want 2: %+v", len(got), got)
-	}
-	if got[0].jobID != "1" || got[0].label != "BLAST" {
-		t.Fatalf("first observation: %+v", got[0])
-	}
-	if got[1].jobID != "2" || got[1].label != core.UnknownLabel || got[1].n == 0 {
-		t.Fatalf("second observation should carry the unknown finding: %+v", got[1])
-	}
-
-	// Removing the observer stops delivery.
-	m.SetObserver(nil)
-	m.Observe(events[0])
-	if len(got) != 2 {
-		t.Fatalf("removed observer still invoked: %+v", got)
-	}
-}
-
-// verdictLabeler returns a fixed prediction per class, letting tests
-// drive the open-set verdict channel through the monitoring path.
-type verdictLabeler struct {
-	preds map[string]core.Prediction
-}
-
-func (v *verdictLabeler) Classify(sample *dataset.Sample) core.Prediction {
-	return v.preds[sample.Class]
-}
-
-// TestObserverHooks is the table-driven contract for observer delivery:
-// every verdict shape reaches the observer intact, and a panicking
-// observer never takes down the observing (serve) goroutine or changes
-// the caller's result.
+// TestObserverHooks is the table-driven contract for Apply, the policy
+// hook a serving surface calls once per served prediction: every
+// verdict shape yields the findings its label calls for, and only the
+// unknown verdict (which demotes the label) raises the unknown finding.
 func TestObserverHooks(t *testing.T) {
-	labeler := &verdictLabeler{preds: map[string]core.Prediction{
-		"BLAST": {Label: "BLAST", Class: "BLAST", Confidence: 0.95, Verdict: openset.VerdictClass},
-		"Mystery": {Label: core.UnknownLabel, Class: "BLAST", Confidence: 0.41,
-			Verdict: openset.VerdictUnknown},
-		"Border": {Label: "GROMACS", Class: "GROMACS", Confidence: 0.62,
-			Verdict: openset.VerdictAmbiguous},
-		"Legacy": {Label: "BLAST", Class: "BLAST", Confidence: 0.9}, // no calibration
-	}}
-
 	cases := []struct {
-		name        string
-		class       string
-		panics      bool // the observer panics on delivery
-		wantLabel   string
-		wantVerdict openset.Verdict
-		wantKinds   []FindingKind
+		name      string
+		pred      core.Prediction
+		wantKinds []FindingKind
 	}{
-		{name: "class verdict", class: "BLAST",
-			wantLabel: "BLAST", wantVerdict: openset.VerdictClass},
-		{name: "unknown verdict demotes to the unknown finding", class: "Mystery",
-			wantLabel: core.UnknownLabel, wantVerdict: openset.VerdictUnknown,
+		{name: "class verdict",
+			pred: core.Prediction{Label: "BLAST", Class: "BLAST", Confidence: 0.95, Verdict: openset.VerdictClass}},
+		{name: "unknown verdict demotes to the unknown finding",
+			pred: core.Prediction{Label: core.UnknownLabel, Class: "BLAST", Confidence: 0.41,
+				Verdict: openset.VerdictUnknown},
 			wantKinds: []FindingKind{UnknownApplication}},
-		{name: "ambiguous verdict keeps the label", class: "Border",
-			wantLabel: "GROMACS", wantVerdict: openset.VerdictAmbiguous},
-		{name: "no calibration leaves the verdict empty", class: "Legacy",
-			wantLabel: "BLAST", wantVerdict: ""},
-		{name: "panicking observer is contained", class: "Mystery", panics: true,
-			wantLabel: core.UnknownLabel, wantVerdict: openset.VerdictUnknown,
-			wantKinds: []FindingKind{UnknownApplication}},
+		{name: "ambiguous verdict keeps the label",
+			pred: core.Prediction{Label: "GROMACS", Class: "GROMACS", Confidence: 0.62,
+				Verdict: openset.VerdictAmbiguous}},
+		{name: "no calibration leaves the verdict empty",
+			pred: core.Prediction{Label: "BLAST", Class: "BLAST", Confidence: 0.9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := New(labeler, Policy{})
-			var got []core.Prediction
-			m.SetObserver(func(_ Event, pred core.Prediction, _ []Finding) {
-				got = append(got, pred)
-				if tc.panics {
-					panic("observer bug")
+			m := New(Policy{})
+			e := Event{JobID: "j1", User: "alice"}
+			for round := 0; round < 2; round++ { // a repeat job finds the same
+				findings := m.Apply(e, tc.pred)
+				if len(findings) != len(tc.wantKinds) {
+					t.Fatalf("round %d: findings %+v, want kinds %v", round, findings, tc.wantKinds)
 				}
-			})
-			e := event("j1", "alice", "", tc.class)
-
-			pred, findings := m.Observe(e) // must not panic through
-			if pred.Label != tc.wantLabel || pred.Verdict != tc.wantVerdict {
-				t.Fatalf("Observe = label %q verdict %q, want %q/%q",
-					pred.Label, pred.Verdict, tc.wantLabel, tc.wantVerdict)
-			}
-			if len(findings) != len(tc.wantKinds) {
-				t.Fatalf("findings %+v, want kinds %v", findings, tc.wantKinds)
-			}
-			for i, k := range tc.wantKinds {
-				if findings[i].Kind != k {
-					t.Fatalf("finding %d kind %v, want %v", i, findings[i].Kind, k)
+				for i, k := range tc.wantKinds {
+					if findings[i].Kind != k {
+						t.Fatalf("round %d: finding %d kind %v, want %v", round, i, findings[i].Kind, k)
+					}
 				}
 			}
-			if len(got) != 1 || got[0].Verdict != tc.wantVerdict {
-				t.Fatalf("observer saw %+v, want one prediction with verdict %q", got, tc.wantVerdict)
+			wantHist := 2
+			if tc.pred.Label == core.UnknownLabel {
+				wantHist = 0
 			}
-
-			// The monitor must stay fully usable after an observer panic:
-			// the same event observed again still delivers.
-			obs := m.ObserveAll([]Event{e})
-			if len(obs) != 1 || obs[0].Prediction.Label != tc.wantLabel {
-				t.Fatalf("ObserveAll after panic = %+v", obs)
+			got := 0
+			for _, h := range m.UserHistory("alice") {
+				got += h.Count
 			}
-			if len(got) != 2 {
-				t.Fatalf("observer saw %d deliveries, want 2", len(got))
+			if got != wantHist {
+				t.Fatalf("history holds %d observations, want %d", got, wantHist)
 			}
 		})
 	}

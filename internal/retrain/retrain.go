@@ -5,7 +5,7 @@
 // incrementally as executions are observed. This package makes the
 // serving system retrain itself from the traffic it serves:
 //
-//   - labelled windows are harvested off the serving/monitoring stream
+//   - labelled windows are harvested off the serving stream
 //     into a bounded, class-balanced reservoir Store (confident
 //     predictions self-label behind a confidence gate; operator-supplied
 //     ground truth enters via HarvestLabeled), persisted as JSON so a
@@ -23,9 +23,9 @@
 //     keeps serving, bit-identically.
 //
 // Concurrency contract: every Retrainer method — the harvest surface
-// (HarvestLabeled, ObservePrediction, BackfillCollector), Kick, RunNow,
-// Stats, SetIncumbent, Close — is safe to call from any number of
-// goroutines while the engine serves. Retraining cycles are serialised
+// (HarvestLabeled, ObservePrediction), Kick, RunNow, Stats,
+// SetIncumbent, Close — is safe to call from any number of goroutines
+// while the engine serves. Retraining cycles are serialised
 // internally (concurrent RunNow calls queue); harvesting never blocks on
 // a running cycle beyond one short store mutex. Close stops the
 // background loop, persists the store and is idempotent.
@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -462,23 +461,6 @@ func (r *Retrainer) harvest(s *dataset.Sample, class string, authoritative bool)
 		r.trigger("samples")
 	}
 	return true
-}
-
-// BackfillCollector classifies every binary the collector has already
-// extracted through the serving engine and offers each prediction for
-// harvesting — warming an empty store from a long-running collector the
-// moment continuous learning is switched on. It returns the number of
-// samples admitted.
-func (r *Retrainer) BackfillCollector(c *collector.Collector) int {
-	admitted := 0
-	c.Range(func(s *dataset.Sample) {
-		cp := *s
-		pred := r.engine.Classify(&cp)
-		if r.ObservePrediction(&cp, pred) {
-			admitted++
-		}
-	})
-	return admitted
 }
 
 // InstallIncumbent hot-swaps clf into the serving engine and records

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -645,5 +646,44 @@ func TestInstallDoesNotHoldStateLockAcrossSwap(t *testing.T) {
 	// last; either way the engine serves what the last installer chose.
 	if got := engine.Stats().Swaps; got != 1 {
 		t.Fatalf("engine recorded %d swaps, want 1", got)
+	}
+}
+
+// TestRetrainerCloseNoGoroutineLeak runs background cycles on every
+// trigger (samples, interval, kick) and a waited one, then proves Close
+// stops the background loop and leaves no goroutine of the retrainer
+// running. The engine is built before the baseline: its owner closes it.
+func TestRetrainerCloseNoGoroutineLeak(t *testing.T) {
+	fixture(t)
+	engine := serve.New(fixAll, serve.Options{})
+	defer engine.Close()
+	base := runtime.NumGoroutine()
+
+	rt, err := New(engine, fixAll, Options{
+		MinNewSamples: len(fixSamples) / 2,
+		Interval:      10 * time.Millisecond,
+		TrainFunc:     prebuilt(fixAll),
+		Registry:      metrics.NewRegistry(),
+		Store:         StoreOptions{Path: filepath.Join(t.TempDir(), "store.jsonl")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, rt)
+	rt.Kick()
+	rt.RunNow("test")
+	waitFor(t, "background cycles", func() bool { return rt.Stats().Runs >= 3 })
+	if err := rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%d goroutines left behind (base %d):\n%s", runtime.NumGoroutine()-base, base, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

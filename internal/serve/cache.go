@@ -147,25 +147,6 @@ func (c *Cache[V]) Add(k Key, v V) (V, bool) {
 	return v, true
 }
 
-// Range calls fn for every cached entry without touching recency. Each
-// shard is snapshotted under its lock and fn runs outside all locks, so
-// fn may safely call back into the cache; entries added or evicted while
-// Range runs may or may not be visited. Iteration order is unspecified.
-func (c *Cache[V]) Range(fn func(k Key, v V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		snap := make([]*cacheEntry[V], 0, s.order.Len())
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			snap = append(snap, el.Value.(*cacheEntry[V]))
-		}
-		s.mu.Unlock()
-		for _, e := range snap {
-			fn(e.key, e.val)
-		}
-	}
-}
-
 // Len returns the current number of cached entries.
 func (c *Cache[V]) Len() int {
 	n := 0

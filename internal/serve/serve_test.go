@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -468,4 +469,41 @@ func TestEngineServesWhileRetuning(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	tuners.Wait()
+}
+
+// TestEngineCloseNoGoroutineLeak drives concurrent single, batch and
+// hash-first traffic plus a swap through an engine, then proves Close
+// stops every dispatcher and executor goroutine it started.
+func TestEngineCloseNoGoroutineLeak(t *testing.T) {
+	clf, samples := realClassifier(t)
+	base := runtime.NumGoroutine()
+
+	e := New(clf, Options{Workers: 2, BatchSize: 4})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(samples); i += 4 {
+				s := samples[i]
+				e.Classify(&s)
+				e.Lookup(s.SHA256)
+			}
+		}(w)
+	}
+	e.ClassifyAll(samples)
+	e.Swap(clf)
+	wg.Wait()
+	e.ClassifyAll(samples[:3])
+	e.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%d goroutines left behind (base %d):\n%s", runtime.NumGoroutine()-base, base, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
